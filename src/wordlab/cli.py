@@ -49,6 +49,10 @@ def _resolve_source(args):
     ]
     if len(chosen) != 1:
         raise UsageError("specify exactly one of --source/--morphism/--slope/--cf/--periodic")
+    if args.seed and not args.morphism:
+        raise UsageError("--seed applies only to --morphism")
+    if args.intercept and not (args.slope or args.cf):
+        raise UsageError("--intercept applies only to --slope or --cf")
     if args.source:
         try:
             return wordgen.get_preset(args.source)

@@ -1,7 +1,7 @@
 """Open/closed classification of finite words.
 
-classify goes through the selected kernel backend (border table plus an
-occurrence check of the longest border); classify_brute is the
+classify goes through wordlab.kernels (border table plus an occurrence
+check of the longest border); classify_brute is the
 independent oracle that tries every border length with naive scans.
 Both accept bytes or plain ASCII strings.
 """

@@ -4,7 +4,7 @@ import csv
 import io
 from dataclasses import dataclass
 
-from wordlab import closure
+from wordlab import closure, kernels
 from wordlab.errors import UncertifiedLengthError
 
 CSV_COLUMNS = ["n", "p", "op", "cl", "frontier_lengths"]
@@ -60,27 +60,39 @@ def factors_of_length(buf, n: int, force: bool = False) -> list:
 
 
 def profile(buf, n_from: int, n_to: int, force: bool = False) -> list:
-    """One ComplexityRow per length in n_from..n_to inclusive."""
+    """One ComplexityRow per length in n_from..n_to inclusive.
+
+    Start-major: if data[i:i+n] is the first occurrence of its factor, so
+    is data[i:i+n+1]. Each start is therefore classified once, by one
+    frontier table over its window, from the shortest length at which it
+    is a first occurrence up to n_to (or the buffer end).
+    """
     if n_from > n_to:
         raise ValueError("empty length range")
-    rows = []
+    first_length = {}  # start -> shortest length at which it is a first occurrence
     for n in range(n_from, n_to + 1):
-        frontiers = []
-        op = 0
-        for w in factors_of_length(buf, n, force):
-            verdict = closure.classify(w)
-            if verdict.closed:
-                frontiers.append(verdict.frontier)
+        for i in factor_positions(buf, n, force).values():
+            first_length.setdefault(i, n)
+    data = buf.data
+    op = [0] * (n_to - n_from + 1)
+    frontiers = [[] for _ in op]
+    for i, n_i in first_length.items():
+        table = kernels.frontier_lengths(data[i : i + n_to], n_i)
+        for k, f in enumerate(table, n_i - n_from):
+            if f < 0:
+                op[k] += 1
             else:
-                op += 1
-        frontiers.sort()
+                frontiers[k].append(f)
+    rows = []
+    for n, opens, closed in zip(range(n_from, n_to + 1), op, frontiers):
+        closed.sort()
         rows.append(
             ComplexityRow(
                 n=n,
-                p=op + len(frontiers),
-                op=op,
-                cl=len(frontiers),
-                frontier_lengths=tuple(frontiers),
+                p=opens + len(closed),
+                op=opens,
+                cl=len(closed),
+                frontier_lengths=tuple(closed),
                 approx=n > buf.stable_upto,
             )
         )

@@ -6,6 +6,7 @@ carry the occurrence count and buffer length so callers can tell
 """
 
 from dataclasses import dataclass
+from itertools import pairwise
 
 from wordlab import closure
 from wordlab.errors import InsufficientOccurrencesError
@@ -30,57 +31,42 @@ def occurrence_positions(buf, v) -> list:
     return closure.occurrences(v, buf.data)
 
 
-def _positions_or_raise(buf, v):
+def report(buf, v) -> ReturnReport:
+    """Everything read off the consecutive occurrences of v in the
+    buffer; with fewer than two, the return fields are empty and max_gap
+    is None."""
     v = closure._as_bytes(v)
-    positions = closure.occurrences(v, buf.data)
-    if len(positions) < 2:
-        raise InsufficientOccurrencesError(v, len(positions))
-    return v, positions
+    data = buf.data
+    positions = closure.occurrences(v, data)
+    return ReturnReport(
+        target=v,
+        positions=tuple(positions),
+        complete_returns=tuple(sorted({data[i : j + len(v)] for i, j in pairwise(positions)})),
+        return_words=tuple(sorted({data[i:j] for i, j in pairwise(positions)})),
+        max_gap=max((j - i for i, j in pairwise(positions)), default=None),
+        buffer_length=len(data),
+    )
+
+
+def _report_or_raise(buf, v) -> ReturnReport:
+    rep = report(buf, v)
+    if rep.occurrence_count < 2:
+        raise InsufficientOccurrencesError(rep.target, rep.occurrence_count)
+    return rep
 
 
 def complete_first_returns(buf, v) -> list:
     """For consecutive occurrences i < i' of v, the factor
     data[i : i'+|v|]; deduplicated, sorted."""
-    v, positions = _positions_or_raise(buf, v)
-    out = {
-        buf.data[i : j + len(v)] for i, j in zip(positions, positions[1:])
-    }
-    return sorted(out)
+    return list(_report_or_raise(buf, v).complete_returns)
 
 
 def return_words(buf, v) -> list:
     """Complete first returns with the trailing copy of v removed."""
-    v, positions = _positions_or_raise(buf, v)
-    out = {buf.data[i:j] for i, j in zip(positions, positions[1:])}
-    return sorted(out)
+    return list(_report_or_raise(buf, v).return_words)
 
 
 def max_gap(buf, v) -> int:
     """Largest distance between consecutive occurrences of v; the
     window after the last occurrence is deliberately excluded."""
-    _, positions = _positions_or_raise(buf, v)
-    return max(j - i for i, j in zip(positions, positions[1:]))
-
-
-def report(buf, v) -> ReturnReport:
-    v = closure._as_bytes(v)
-    positions = closure.occurrences(v, buf.data)
-    if len(positions) < 2:
-        return ReturnReport(
-            target=v,
-            positions=tuple(positions),
-            complete_returns=(),
-            return_words=(),
-            max_gap=None,
-            buffer_length=len(buf.data),
-        )
-    returns = sorted({buf.data[i : j + len(v)] for i, j in zip(positions, positions[1:])})
-    words = sorted({buf.data[i:j] for i, j in zip(positions, positions[1:])})
-    return ReturnReport(
-        target=v,
-        positions=tuple(positions),
-        complete_returns=tuple(returns),
-        return_words=tuple(words),
-        max_gap=max(j - i for i, j in zip(positions, positions[1:])),
-        buffer_length=len(buf.data),
-    )
+    return _report_or_raise(buf, v).max_gap

@@ -19,6 +19,8 @@ TM_SYNDETIC_MIN_MAX_CL = 44  # min over progressions d<=4 of max cl(n), n<=60
 FIB_TWO_RETURNS_PREFIX = 256  # prefix length witnessing both returns, |v|<=15
 PAPERFOLDING_FIRST_CL_ZERO = 18  # smallest n with cl(n)=0
 PAPERFOLDING_SEARCH_LIMIT = 512
+RAUZY_N_MAX = 12  # factor lengths (and binary word lengths) of the Rauzy checks
+FRONTIER_I_MAX = 8  # largest shift of the frontier-distance check
 
 APERIODIC_PRESETS = ("thue-morse", "fibonacci", "cantor", "paperfolding", "period-doubling")
 
@@ -151,7 +153,7 @@ def check_cantor_minimum():
 
 def _preset_buffers_for_rauzy():
     for preset in sorted(wordgen.PRESETS):
-        yield preset, _buffer(preset, 13)
+        yield preset, _buffer(preset, RAUZY_N_MAX + 1)
 
 
 def check_closed_neighbors():
@@ -159,13 +161,13 @@ def check_closed_neighbors():
     presets for n <= 12 plus every binary word of length <= 12."""
     name = "rauzy-closed-neighbors"
     for preset, buf in _preset_buffers_for_rauzy():
-        for n in range(2, 13):
+        for n in range(2, RAUZY_N_MAX + 1):
             bad = rauzy.check_closed_neighbor_uniqueness(buf, n)
             if bad:
                 v = bad[0]
                 return _fail(name, f"{preset} n={n}: {buf.decode(v.word)!r} {v.detail}")
     words = 0
-    for w in _binary_words(12):
+    for w in _binary_words(RAUZY_N_MAX):
         if len(w) < 2:
             continue
         buf = wordgen.literal_buffer(w, wordgen.Alphabet("ab"))
@@ -175,7 +177,7 @@ def check_closed_neighbors():
             if bad:
                 v = bad[0]
                 return _fail(name, f"word {buf.decode()!r} n={n}: {v.detail}")
-    return _pass(name, f"presets n<=12 and {words} binary words")
+    return _pass(name, f"presets n<={RAUZY_N_MAX} and {words} binary words")
 
 
 def check_frontier_distance():
@@ -183,25 +185,25 @@ def check_frontier_distance():
     presets for n <= 12, i_max = 8, plus every binary word <= 12."""
     name = "rauzy-frontier-distance"
     for preset, buf in _preset_buffers_for_rauzy():
-        for n in range(1, 13):
-            i_max = min(8, len(buf.data) - n)
+        for n in range(1, RAUZY_N_MAX + 1):
+            i_max = min(FRONTIER_I_MAX, len(buf.data) - n)
             bad = rauzy.check_frontier_distance(buf, n, i_max)
             if bad:
                 v = bad[0]
                 return _fail(name, f"{preset} n={n}: {buf.decode(v.word)!r} {v.detail}")
     words = 0
-    for w in _binary_words(12):
+    for w in _binary_words(RAUZY_N_MAX):
         buf = wordgen.literal_buffer(w, wordgen.Alphabet("ab"))
         words += 1
         for n in range(1, len(w)):
-            i_max = min(8, len(w) - n)
+            i_max = min(FRONTIER_I_MAX, len(w) - n)
             if i_max < 1:
                 continue
             bad = rauzy.check_frontier_distance(buf, n, i_max)
             if bad:
                 v = bad[0]
                 return _fail(name, f"word {buf.decode()!r} n={n}: {v.detail}")
-    return _pass(name, f"presets n<=12 i_max=8 and {words} binary words")
+    return _pass(name, f"presets n<={RAUZY_N_MAX} i_max={FRONTIER_I_MAX} and {words} binary words")
 
 
 def check_closed_path_frontiers():

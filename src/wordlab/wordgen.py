@@ -92,10 +92,6 @@ class Morphism:
         return cls(alphabet, images)
 
 
-def apply_morphism(m: Morphism, w: bytes) -> bytes:
-    return m.apply(w)
-
-
 def morphic_prefix(m: Morphism, seed: int, length: int) -> bytes:
     """First `length` symbols of the fixed point of m iterated from seed."""
     if length < 1:

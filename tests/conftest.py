@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from wordlab import wordgen
+from wordlab import verify, wordgen
 
 AB = wordgen.Alphabet("ab")
 
@@ -26,3 +26,9 @@ def tm_buffer():
 @pytest.fixture(scope="session")
 def fib_buffer():
     return wordgen.stabilized_prefix(wordgen.get_preset("fibonacci"), 30)
+
+
+@pytest.fixture(scope="session")
+def verify_outcomes():
+    """The full verify suite, run once per session, by check name."""
+    return {o.name: o for o in verify.run_verify_suite()}

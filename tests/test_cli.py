@@ -44,6 +44,22 @@ class TestGenerate:
         code, _, err = run(capsys, "generate", "--length", "4")
         assert code == 2
 
+    def test_intercept_without_slope_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "generate", "--source", "fibonacci", "--intercept", "1/3", "--length", "4"
+        )
+        assert code == 2
+        assert out == ""
+        assert "--intercept" in err
+
+    def test_seed_without_morphism_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "generate", "--cf", "1", "--seed", "b", "--length", "4"
+        )
+        assert code == 2
+        assert out == ""
+        assert "--seed" in err
+
 
 class TestProfile:
     def test_fibonacci_row(self, capsys):

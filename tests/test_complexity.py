@@ -1,8 +1,22 @@
 import pytest
 
-from wordlab import complexity, wordgen
+from wordlab import closure, complexity, wordgen
 from wordlab.errors import UncertifiedLengthError
 from wordlab.factorcount import distinct_counts
+from conftest import AB, binary_words
+
+
+def _brute_row(buf, n):
+    """The profile row of length n, from classify_brute on every factor."""
+    verdicts = [closure.classify_brute(w) for w in complexity.factors_of_length(buf, n)]
+    frontiers = sorted(v.frontier for v in verdicts if v.closed)
+    return complexity.ComplexityRow(
+        n=n,
+        p=len(verdicts),
+        op=len(verdicts) - len(frontiers),
+        cl=len(frontiers),
+        frontier_lengths=tuple(frontiers),
+    )
 
 
 class TestFactorsOfLength:
@@ -68,6 +82,16 @@ class TestProfile:
     def test_empty_range(self, fib_buffer):
         with pytest.raises(ValueError):
             complexity.profile(fib_buffer, 5, 4)
+
+    def test_matches_brute_rows_exhaustive(self):
+        # every sub-range a..b: n_from > 1 and windows cut short at the
+        # buffer end both occur
+        for w in binary_words(10):
+            buf = wordgen.literal_buffer(w, AB)
+            want = [_brute_row(buf, n) for n in range(1, len(w) + 1)]
+            for a in range(1, len(w) + 1):
+                for b in range(a, len(w) + 1):
+                    assert complexity.profile(buf, a, b) == want[a - 1 : b], (w, a, b)
 
 
 class TestSyndetic:

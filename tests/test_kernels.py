@@ -1,58 +1,53 @@
-"""Parity between the compiled kernels and the pure-Python fallback."""
+"""The string kernels against the independent classify_brute oracle."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from wordlab import _fallback
-from wordlab import kernels
+from wordlab import closure, kernels
 from conftest import binary_words
 
-speedups = pytest.importorskip("wordlab._speedups")
 
-words = st.binary(min_size=1, max_size=64).map(
-    lambda b: bytes(c % 3 for c in b)  # small alphabet makes borders likely
-)
-
-
-def test_selected_backend_is_exposed():
-    assert kernels.BACKEND in ("compiled", "pure")
-    assert callable(kernels.border_table)
+def _brute_frontier(w):
+    verdict = closure.classify_brute(w)
+    return verdict.frontier if verdict.closed else -1
 
 
-@given(words)
-def test_border_table_parity(w):
-    assert speedups.border_table(w) == _fallback.border_table(w)
+def test_backend_is_pure():
+    assert kernels.BACKEND == "pure"
 
 
-@given(words)
-def test_frontier_parity(w):
-    assert speedups.frontier_length(w) == _fallback.frontier_length(w)
-
-
-@given(words, words)
-def test_occurrences_parity(p, t):
-    assert speedups.occurrences(p, t) == _fallback.occurrences(p, t)
-
-
-def test_exhaustive_parity_small_binary():
-    for w in binary_words(10):
-        assert speedups.border_table(w) == _fallback.border_table(w)
-        assert speedups.frontier_length(w) == _fallback.frontier_length(w)
-
-
-@pytest.mark.parametrize("impl", [speedups, _fallback])
-def test_empty_inputs_rejected(impl):
+def test_empty_inputs_rejected():
     with pytest.raises(ValueError):
-        impl.border_table(b"")
+        kernels.border_table(b"")
     with pytest.raises(ValueError):
-        impl.frontier_length(b"")
+        kernels.frontier_length(b"")
     with pytest.raises(ValueError):
-        impl.occurrences(b"", b"abc")
+        kernels.frontier_lengths(b"")
+    with pytest.raises(ValueError):
+        kernels.occurrences(b"", b"abc")
 
 
-@pytest.mark.parametrize("impl", [speedups, _fallback])
-def test_overlapping_occurrences(impl):
-    assert impl.occurrences(b"aa", b"aabaaa") == [0, 3, 4]
-    assert impl.occurrences(b"ab", b"abaaaab") == [0, 5]
-    assert impl.occurrences(b"a", b"a") == [0]
-    assert impl.occurrences(b"ab", b"b") == []
+def test_frontier_lengths_start_at_one():
+    with pytest.raises(ValueError):
+        kernels.frontier_lengths(b"ab", 0)
+
+
+def test_overlapping_occurrences():
+    assert kernels.occurrences(b"aa", b"aabaaa") == [0, 3, 4]
+    assert kernels.occurrences(b"ab", b"abaaaab") == [0, 5]
+    assert kernels.occurrences(b"a", b"a") == [0]
+    assert kernels.occurrences(b"ab", b"b") == []
+
+
+def test_frontier_lengths_exhaustive_binary():
+    for w in binary_words(12):
+        want = [_brute_frontier(w[:n]) for n in range(1, len(w) + 1)]
+        assert kernels.frontier_lengths(w) == want, w
+        assert kernels.frontier_length(w) == want[-1], w
+        for n_from in range(2, len(w) + 2):
+            assert kernels.frontier_lengths(w, n_from) == want[n_from - 1 :], (w, n_from)
+
+
+@given(st.binary(min_size=1, max_size=40).map(lambda b: bytes(c % 3 for c in b)))
+def test_frontier_lengths_ternary(w):
+    assert kernels.frontier_lengths(w) == [_brute_frontier(w[:n]) for n in range(1, len(w) + 1)]

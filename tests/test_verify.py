@@ -1,10 +1,9 @@
 from wordlab import closure, verify
 
 
-def test_full_suite_passes():
-    outcomes = verify.run_verify_suite()
-    assert len(outcomes) == len(verify.CHECKS)
-    failed = [o for o in outcomes if o.status == "fail"]
+def test_full_suite_passes(verify_outcomes):
+    assert list(verify_outcomes) == [name for name, _ in verify.CHECKS]
+    failed = [o for o in verify_outcomes.values() if o.status == "fail"]
     assert failed == []
 
 
