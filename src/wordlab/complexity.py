@@ -63,20 +63,40 @@ def profile(buf, n_from: int, n_to: int, force: bool = False) -> list:
     """One ComplexityRow per length in n_from..n_to inclusive.
 
     Start-major: if data[i:i+n] is the first occurrence of its factor, so
-    is data[i:i+n+1]. Each start is therefore classified once, by one
-    frontier table over its window, from the shortest length at which it
-    is a first occurrence up to n_to (or the buffer end).
+    is data[i:i+n+1]. One scan at n_to yields the starts that are first
+    occurrences there; the starts past len - n_to, whose windows stop
+    short of n_to, are tested at their longest window. Each start's
+    shortest first-occurrence length is then found by binary search, and
+    the start is classified once, by one frontier table over its window
+    from that length up to n_to (or the buffer end).
     """
     if n_from > n_to:
         raise ValueError("empty length range")
-    first_length = {}  # start -> shortest length at which it is a first occurrence
-    for n in range(n_from, n_to + 1):
-        for i in factor_positions(buf, n, force).values():
-            first_length.setdefault(i, n)
+    # raise what a scan of each length in turn would raise first
+    _check_length(buf, n_from, force)
+    _check_length(buf, min(n_to, (len(buf.data) if force else buf.stable_upto) + 1), force)
     data = buf.data
+
+    def is_first(i, n):
+        return data.find(data[i : i + n], 0, i + n - 1) == -1
+
+    def first_length(i, hi):
+        lo = n_from
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if is_first(i, mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    starts = {i: first_length(i, n_to) for i in factor_positions(buf, n_to, force).values()}
+    for i in range(len(data) - n_to + 1, len(data) - n_from + 1):
+        if is_first(i, len(data) - i):
+            starts[i] = first_length(i, len(data) - i)
     op = [0] * (n_to - n_from + 1)
     frontiers = [[] for _ in op]
-    for i, n_i in first_length.items():
+    for i, n_i in starts.items():
         table = kernels.frontier_lengths(data[i : i + n_to], n_i)
         for k, f in enumerate(table, n_i - n_from):
             if f < 0:

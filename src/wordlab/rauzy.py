@@ -65,6 +65,19 @@ def special_factors(buf, n: int, force: bool = False) -> SpecialReport:
     )
 
 
+def closed_extension_violation(core: bytes, letters, side: str):
+    """The violation when core has two or more closed extensions on one
+    side ("left" for bw, "right" for wc), letters being the distinct
+    extending letters; None otherwise."""
+    if len(letters) < 2:
+        return None
+    return Violation(
+        check="closed-predecessors" if side == "left" else "closed-successors",
+        word=core,
+        detail=f"{len(letters)} closed {side} extensions: {sorted(letters)}",
+    )
+
+
 def check_closed_neighbor_uniqueness(buf, n: int, force: bool = False) -> list:
     """Every factor of length n-1 has at most one closed left extension
     bw and at most one closed right extension wc among the length-n
@@ -78,24 +91,11 @@ def check_closed_neighbor_uniqueness(buf, n: int, force: bool = False) -> list:
             pred.setdefault(w[1:], []).append(w[0])
             succ.setdefault(w[:-1], []).append(w[-1])
     violations = []
-    for core, letters in sorted(pred.items()):
-        if len(letters) >= 2:
-            violations.append(
-                Violation(
-                    check="closed-predecessors",
-                    word=core,
-                    detail=f"{len(letters)} closed left extensions: {sorted(letters)}",
-                )
-            )
-    for core, letters in sorted(succ.items()):
-        if len(letters) >= 2:
-            violations.append(
-                Violation(
-                    check="closed-successors",
-                    word=core,
-                    detail=f"{len(letters)} closed right extensions: {sorted(letters)}",
-                )
-            )
+    for side, extensions in (("left", pred), ("right", succ)):
+        for core, letters in sorted(extensions.items()):
+            violation = closed_extension_violation(core, letters, side)
+            if violation is not None:
+                violations.append(violation)
     return violations
 
 
@@ -108,11 +108,20 @@ def _frontier_cache(cache, w):
     return f
 
 
+def frontier_distance_violation(f1: int, f2: int, i: int):
+    """The detail of the violation when two windows at shift i are both
+    closed (frontier lengths f1, f2 >= 0, -1 for open) and ||u1|-|u2|| < i
+    fails; None otherwise."""
+    if f1 < 0 or f2 < 0 or abs(f1 - f2) < i:
+        return None
+    return f"frontiers {f1} and {f2} differ by {abs(f1 - f2)} >= {i}"
+
+
 def check_frontier_distance(buf, n: int, i_max: int) -> list:
     """For realized overlapping windows w1 = data[j:j+n] and
     w2 = data[j+i:j+i+n], both closed with frontiers u1, u2:
     ||u1|-|u2|| < i must hold, with equality of lengths when i = 1.
-    Returns the violations (expected none)."""
+    Returns the violations (expected none), one per distinct (w1, w2, i)."""
     if i_max < 1:
         raise ValueError("i_max must be >= 1")
     data = buf.data
@@ -130,23 +139,17 @@ def check_frontier_distance(buf, n: int, i_max: int) -> list:
             if f1 < 0:
                 continue
             w2 = data[j + i : j + i + n]
-            f2 = _frontier_cache(cache, w2)
-            if f2 < 0:
-                continue
-            if (w1, w2, i) in seen_pairs:
+            detail = frontier_distance_violation(f1, _frontier_cache(cache, w2), i)
+            if detail is None or (w1, w2, i) in seen_pairs:
                 continue
             seen_pairs.add((w1, w2, i))
-            if abs(f1 - f2) >= i:
-                violations.append(
-                    Violation(
-                        check="frontier-distance",
-                        word=w1,
-                        detail=(
-                            f"offset {j}, shift {i}: frontiers {f1} and {f2} "
-                            f"differ by {abs(f1 - f2)} >= {i}"
-                        ),
-                    )
+            violations.append(
+                Violation(
+                    check="frontier-distance",
+                    word=w1,
+                    detail=f"offset {j}, shift {i}: {detail}",
                 )
+            )
     return violations
 
 

@@ -26,11 +26,6 @@ class ReturnReport:
         return len(self.positions)
 
 
-def occurrence_positions(buf, v) -> list:
-    v = closure._as_bytes(v)
-    return closure.occurrences(v, buf.data)
-
-
 def report(buf, v) -> ReturnReport:
     """Everything read off the consecutive occurrences of v in the
     buffer; with fewer than two, the return fields are empty and max_gap

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from wordlab import closure, complexity, rauzy, returns, wordgen
+from wordlab import closure, complexity, kernels, rauzy, returns, wordgen
 
 # frozen oracle values (pre-build brute-force sweeps)
 TM_MIN_OPEN_10_40 = 18  # min op(n), thue-morse, n in [10, 40]
@@ -23,6 +23,7 @@ RAUZY_N_MAX = 12  # factor lengths (and binary word lengths) of the Rauzy checks
 FRONTIER_I_MAX = 8  # largest shift of the frontier-distance check
 
 APERIODIC_PRESETS = ("thue-morse", "fibonacci", "cantor", "paperfolding", "period-doubling")
+AB = wordgen.Alphabet("ab")
 
 
 @dataclass(frozen=True)
@@ -156,6 +157,79 @@ def _preset_buffers_for_rauzy():
         yield preset, _buffer(preset, RAUZY_N_MAX + 1)
 
 
+def _bits(v: int, m: int) -> bytes:
+    """The length-m binary word whose letters are the bits of v, first
+    letter most significant."""
+    return bytes((v >> k) & 1 for k in range(m - 1, -1, -1))
+
+
+def binary_frontier_table(max_len: int) -> list:
+    """Entry (1 << m) | v: the frontier length of the binary word
+    _bits(v, m), or -1 when it is open, for every m <= max_len.
+
+    Every shorter word is a prefix of a length-max_len word, so one
+    frontier_lengths call per length-max_len word fills the table.
+    """
+    table = [-1] * (2 << max_len)
+    for v in range(1 << max_len):
+        for m, f in enumerate(kernels.frontier_lengths(_bits(v, max_len)), 1):
+            table[(1 << m) | (v >> (max_len - m))] = f
+    return table
+
+
+def _table_max_len(table) -> int:
+    return len(table).bit_length() - 2
+
+
+def closed_neighbor_sweep(table):
+    """Yield (word, n, violation) for every binary word u of length
+    m <= the table's and n in 2..m-1 whose prefix x = u[:n] and suffix
+    y = u[m-n:] are distinct closed words sharing a core.
+
+    Two distinct closed extensions of one core, occurring in a word w,
+    lie inside the stretch of w from the earlier occurrence to the end of
+    the later one; so this meets every pair the per-word window walk of
+    check_closed_neighbor_uniqueness meets, and no other.
+    """
+    for m in range(3, _table_max_len(table) + 1):
+        for v in range(1 << m):
+            for n in range(2, m):
+                x = v >> (m - n)
+                y = v & ((1 << n) - 1)
+                if x == y or table[(1 << n) | x] < 0 or table[(1 << n) | y] < 0:
+                    continue
+                core_mask = (1 << (n - 1)) - 1
+                if x & core_mask == y & core_mask:
+                    core, letters, side = x & core_mask, (x >> (n - 1), y >> (n - 1)), "left"
+                elif x >> 1 == y >> 1:
+                    core, letters, side = x >> 1, (x & 1, y & 1), "right"
+                else:
+                    continue
+                violation = rauzy.closed_extension_violation(_bits(core, n - 1), letters, side)
+                if violation is not None:
+                    yield _bits(v, m), n, violation
+
+
+def frontier_distance_sweep(table):
+    """Yield (word, n, detail) for every binary word u of length
+    m <= the table's and shift i <= min(FRONTIER_I_MAX, m-1) where the
+    pair (u[:n], u[i:]), n = m - i, breaks the frontier-distance claim.
+
+    The windows w[j:j+n] and w[j+i:j+i+n] of a word w are the ends of
+    u = w[j:j+n+i], so this meets every triple the per-word window walk
+    of check_frontier_distance meets, and no other.
+    """
+    for m in range(2, _table_max_len(table) + 1):
+        for v in range(1 << m):
+            for i in range(1, min(FRONTIER_I_MAX, m - 1) + 1):
+                n = m - i
+                f1 = table[(1 << n) | (v >> i)]
+                f2 = table[(1 << n) | (v & ((1 << n) - 1))]
+                detail = rauzy.frontier_distance_violation(f1, f2, i)
+                if detail is not None:
+                    yield _bits(v, m), n, f"shift {i}: {detail}"
+
+
 def check_closed_neighbors():
     """No factor has two closed left or two closed right extensions;
     presets for n <= 12 plus every binary word of length <= 12."""
@@ -166,17 +240,13 @@ def check_closed_neighbors():
             if bad:
                 v = bad[0]
                 return _fail(name, f"{preset} n={n}: {buf.decode(v.word)!r} {v.detail}")
-    words = 0
-    for w in _binary_words(RAUZY_N_MAX):
-        if len(w) < 2:
-            continue
-        buf = wordgen.literal_buffer(w, wordgen.Alphabet("ab"))
-        words += 1
-        for n in range(2, len(w) + 1):
-            bad = rauzy.check_closed_neighbor_uniqueness(buf, n)
-            if bad:
-                v = bad[0]
-                return _fail(name, f"word {buf.decode()!r} n={n}: {v.detail}")
+    table = binary_frontier_table(RAUZY_N_MAX)
+    bad = next(closed_neighbor_sweep(table), None)
+    if bad is not None:
+        word, n, v = bad
+        return _fail(name, f"word {AB.decode(word)!r} n={n}: {v.detail}")
+    # the words of length 2..RAUZY_N_MAX, each indexed once in the table
+    words = len(table) - 4
     return _pass(name, f"presets n<={RAUZY_N_MAX} and {words} binary words")
 
 
@@ -191,18 +261,13 @@ def check_frontier_distance():
             if bad:
                 v = bad[0]
                 return _fail(name, f"{preset} n={n}: {buf.decode(v.word)!r} {v.detail}")
-    words = 0
-    for w in _binary_words(RAUZY_N_MAX):
-        buf = wordgen.literal_buffer(w, wordgen.Alphabet("ab"))
-        words += 1
-        for n in range(1, len(w)):
-            i_max = min(FRONTIER_I_MAX, len(w) - n)
-            if i_max < 1:
-                continue
-            bad = rauzy.check_frontier_distance(buf, n, i_max)
-            if bad:
-                v = bad[0]
-                return _fail(name, f"word {buf.decode()!r} n={n}: {v.detail}")
+    table = binary_frontier_table(RAUZY_N_MAX)
+    bad = next(frontier_distance_sweep(table), None)
+    if bad is not None:
+        word, n, detail = bad
+        return _fail(name, f"word {AB.decode(word)!r} n={n}: {detail}")
+    # the words of length 1..RAUZY_N_MAX, each indexed once in the table
+    words = len(table) - 2
     return _pass(name, f"presets n<={RAUZY_N_MAX} i_max={FRONTIER_I_MAX} and {words} binary words")
 
 

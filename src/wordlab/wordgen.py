@@ -67,7 +67,7 @@ class Morphism:
                 raise ValueError("image uses a symbol outside the alphabet")
 
     def apply(self, w: bytes) -> bytes:
-        if any(c >= self.alphabet.size for c in w):
+        if w and max(w) >= self.alphabet.size:
             raise ValueError("word uses a symbol outside the morphism's alphabet")
         return b"".join(self.images[c] for c in w)
 
@@ -134,17 +134,16 @@ def ultimately_periodic_prefix(u: bytes, v: bytes, length: int) -> bytes:
     return bytes(u) + (bytes(v) * reps)[:tail]
 
 
-def _floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
 def _mechanical_word(alpha: Fraction, rho: Fraction, length: int) -> bytes:
     # s_n = floor((n+1)a + r) - floor(na + r), n = 0..length-1
-    # difference 1 -> code 0 ('a'), difference 0 -> code 1 ('b')
+    # difference 1 -> code 0 ('a'), difference 0 -> code 1 ('b');
+    # with a = p/q and r = P/Q, floor(na + r) = (n*p*Q + P*q) // (q*Q)
+    p, q = alpha.numerator, alpha.denominator
+    P, Q = rho.numerator, rho.denominator
     out = bytearray()
-    prev = _floor(rho)
+    prev = P // Q
     for n in range(1, length + 1):
-        cur = _floor(n * alpha + rho)
+        cur = (n * p * Q + P * q) // (q * Q)
         out.append(0 if cur - prev == 1 else 1)
         prev = cur
     return bytes(out)

@@ -83,6 +83,28 @@ class TestProfile:
         with pytest.raises(ValueError):
             complexity.profile(fib_buffer, 5, 4)
 
+    def test_out_of_range_raises_like_a_scan_of_each_length(self, fib_buffer):
+        # the same error, at the same n, as scanning n_from..n_to in turn
+        def first_error(fn):
+            try:
+                fn()
+            except ValueError as e:
+                return type(e), str(e), getattr(e, "n", None)
+            return None
+
+        def scan(n_from, n_to, force):
+            for n in range(n_from, n_to + 1):
+                complexity.factor_positions(buf, n, force)
+
+        buf = wordgen.PrefixBuffer(fib_buffer.source, fib_buffer.data[:40], 10)
+        cases = [(0, 5), (5, 10), (5, 11), (11, 20), (5, 40), (5, 41), (39, 45), (41, 45)]
+        for n_from, n_to in cases:
+            for force in (False, True):
+                want = first_error(lambda: scan(n_from, n_to, force))
+                got = first_error(lambda: complexity.profile(buf, n_from, n_to, force))
+                assert got == want, (n_from, n_to, force)
+        assert first_error(lambda: complexity.profile(buf, 5, 11))[2] == 11
+
     def test_matches_brute_rows_exhaustive(self):
         # every sub-range a..b: n_from > 1 and windows cut short at the
         # buffer end both occur

@@ -63,7 +63,7 @@ class TestReturnWords:
 class TestMaxGap:
     def test_fibonacci_short_prefix(self):
         buf = wordgen.literal_buffer("abaababaab", AB)
-        assert returns.occurrence_positions(buf, AB.encode("b")) == [1, 4, 6, 9]
+        assert returns.report(buf, AB.encode("b")).positions == (1, 4, 6, 9)
         assert returns.max_gap(buf, AB.encode("b")) == 3
 
     def test_periodic(self):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -116,6 +117,17 @@ class TestMechanical:
         for bad in (Fraction(0), Fraction(1), Fraction(3, 2)):
             with pytest.raises(ValueError):
                 wordgen.mechanical_prefix(bad, Fraction(0), 4)
+
+    @pytest.mark.parametrize("intercept", [None, Fraction(1, 3), Fraction(2, 7)])
+    @pytest.mark.parametrize("slope", [Fraction(987, 1597), Fraction(3, 7), Fraction(41, 99)])
+    def test_matches_fraction_reference(self, slope, intercept):
+        rho = slope if intercept is None else intercept
+
+        def floor(n):
+            return math.floor(n * slope + rho)
+
+        want = bytes(0 if floor(n + 1) - floor(n) == 1 else 1 for n in range(2000))
+        assert wordgen.mechanical_prefix(slope, intercept, 2000) == want
 
     def test_bad_cf_coefficients(self):
         with pytest.raises(ValueError):
