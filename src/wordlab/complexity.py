@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass
 
 from wordlab import closure, kernels
@@ -67,8 +68,9 @@ def profile(buf, n_from: int, n_to: int, force: bool = False) -> list:
     occurrences there; the starts past len - n_to, whose windows stop
     short of n_to, are tested at their longest window. Each start's
     shortest first-occurrence length is then found by binary search, and
-    the start is classified once, by one frontier table over its window
-    from that length up to n_to (or the buffer end).
+    the start counts in p from that length up to n_to (or the buffer
+    end), and its closed lengths in that range come from one
+    closed_prefixes call over its window.
     """
     if n_from > n_to:
         raise ValueError("empty length range")
@@ -94,23 +96,24 @@ def profile(buf, n_from: int, n_to: int, force: bool = False) -> list:
     for i in range(len(data) - n_to + 1, len(data) - n_from + 1):
         if is_first(i, len(data) - i):
             starts[i] = first_length(i, len(data) - i)
-    op = [0] * (n_to - n_from + 1)
-    frontiers = [[] for _ in op]
+    # p by a difference array over each start's first-occurrence lengths
+    # n_i..min(n_to, len - i); cl from the sparse closed pairs; op = p - cl
+    delta = [0] * (n_to - n_from + 2)
+    frontiers = [[] for _ in range(n_to - n_from + 1)]
     for i, n_i in starts.items():
-        table = kernels.frontier_lengths(data[i : i + n_to], n_i)
-        for k, f in enumerate(table, n_i - n_from):
-            if f < 0:
-                op[k] += 1
-            else:
-                frontiers[k].append(f)
+        window = data[i : i + n_to]
+        delta[n_i - n_from] += 1
+        delta[len(window) - n_from + 1] -= 1
+        for n, f in kernels.closed_prefixes(window, n_i):
+            frontiers[n - n_from].append(f)
     rows = []
-    for n, opens, closed in zip(range(n_from, n_to + 1), op, frontiers):
+    for n, p, closed in zip(range(n_from, n_to + 1), itertools.accumulate(delta), frontiers):
         closed.sort()
         rows.append(
             ComplexityRow(
                 n=n,
-                p=opens + len(closed),
-                op=opens,
+                p=p,
+                op=p - len(closed),
                 cl=len(closed),
                 frontier_lengths=tuple(closed),
                 approx=n > buf.stable_upto,

@@ -1,5 +1,13 @@
 """String kernels: border tables, overlapping occurrence search, and the
-open/closed status of every prefix of a word.
+closed prefixes of a word.
+
+Closure is read off the longest repeated prefix: w[:n] is closed exactly
+where the longest prefix of w[:n] that recurs in it at a start >= 1 grows,
+and that prefix is its frontier. closed_prefixes finds where it grows with
+one bytes.find per closed prefix (plus a binary search for where to
+start), skipping open prefixes and building no border table;
+frontier_length is one call of it. border_table serves
+closure.border_table and closure.longest_border only.
 
 There is one backend, pure Python leaning on bytes.find. BACKEND stays a
 constant because benchmark records carry it.
@@ -37,28 +45,44 @@ def occurrences(pattern: bytes, text: bytes) -> list:
     return out
 
 
-def frontier_lengths(w: bytes, n_from: int = 1) -> list:
-    """Entry n - n_from, for n in n_from..len(w): the frontier length of
-    w[:n] if that prefix is closed, else -1.
+def closed_prefixes(w: bytes, n_from: int = 1) -> list:
+    """Ascending (n, frontier) pairs, one per closed prefix w[:n] with
+    n_from <= n <= len(w); open prefixes are skipped.
 
-    A single letter is closed with frontier 0. A longer prefix with
-    longest border b > 0 is closed iff w[:b] first recurs at n - b, i.e.
-    it has no occurrence strictly inside w[:n]; one border table serves
-    every n.
+    Let k(n) be the length of the longest prefix of w[:n] that recurs in
+    w[:n] at a start >= 1. It grows by 0 or 1 per letter, and w[:n] is
+    closed, with frontier k(n), exactly where it grows: at n = j + k + 1
+    for j the first start >= 1 of w[:k+1]. Counting k(0) as -1 makes the
+    single letter closed with frontier 0. An occurrence of w[:k+1] is one
+    of w[:k], so each search resumes at the last start found.
     """
+    if len(w) == 0:
+        raise ValueError("closed_prefixes of empty word")
     if n_from < 1:
         raise ValueError("prefix lengths start at 1")
-    table = border_table(w)
-    out = []
-    for n in range(n_from, len(w) + 1):
-        b = table[n - 1]
-        if b and w.find(w[:b], 1) == n - b:
-            out.append(b)
+    if n_from > len(w):
+        return []
+    # k(n_from - 1) by binary search: w[:m] recurring is monotone in m
+    lo, hi = min(0, n_from - 2), n_from - 2
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if w.find(w[:mid], 1, n_from - 1) != -1:
+            lo = mid
         else:
-            out.append(-1 if n > 1 else 0)
-    return out
+            hi = mid - 1
+    k = lo
+    # w[:k+1] does not recur inside w[:n_from-1], so it starts no earlier
+    j = max(1, n_from - k - 1)
+    out = []
+    while True:
+        j = w.find(w[: k + 1], j)
+        if j == -1:
+            return out
+        k += 1
+        out.append((j + k, k))
 
 
 def frontier_length(w: bytes) -> int:
     """Length of the frontier if w is closed, else -1."""
-    return frontier_lengths(w, len(w))[0]
+    pairs = closed_prefixes(w, len(w))
+    return pairs[0][1] if pairs else -1

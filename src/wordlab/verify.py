@@ -168,11 +168,11 @@ def binary_frontier_table(max_len: int) -> list:
     _bits(v, m), or -1 when it is open, for every m <= max_len.
 
     Every shorter word is a prefix of a length-max_len word, so one
-    frontier_lengths call per length-max_len word fills the table.
+    closed_prefixes call per length-max_len word fills the table.
     """
     table = [-1] * (2 << max_len)
     for v in range(1 << max_len):
-        for m, f in enumerate(kernels.frontier_lengths(_bits(v, max_len)), 1):
+        for m, f in kernels.closed_prefixes(_bits(v, max_len)):
             table[(1 << m) | (v >> (max_len - m))] = f
     return table
 

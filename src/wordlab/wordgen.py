@@ -101,10 +101,17 @@ def morphic_prefix(m: Morphism, seed: int, length: int) -> bytes:
             f"seed {m.alphabet.chars[seed]!r} is not prolongable: image must "
             "start with the seed and have length >= 2"
         )
-    w = bytes([seed])
-    while len(w) < length:
-        w = m.apply(w)
-    return w[:length]
+    # sigma^k(c) for every letter c reachable from the seed, built from
+    # whole images: sigma^(k+1)(c) joins sigma^k(d) over d in sigma(c)
+    reachable = [seed]
+    for c in reachable:  # the list grows while it is walked
+        for d in m.images[c]:
+            if d not in reachable:
+                reachable.append(d)
+    level = {c: bytes([c]) for c in reachable}
+    while len(level[seed]) < length:
+        level = {c: b"".join([level[d] for d in m.images[c]]) for c in reachable}
+    return level[seed][:length]
 
 
 def paperfolding_prefix(length: int) -> bytes:
@@ -165,14 +172,23 @@ def _cf_convergents(coeffs):
 def _mechanical_cf(coeffs, rho, length: int) -> bytes:
     if not coeffs or any(c < 1 for c in coeffs):
         raise ValueError("continued-fraction coefficients must be >= 1")
-    prev_word = None
-    for alpha in _cf_convergents(coeffs):
-        r = alpha if rho is None else Fraction(rho)
-        word = _mechanical_word(alpha, r, length)
-        if word == prev_word and alpha.denominator > length + 2:
-            return word
-        prev_word = word
-    raise AssertionError("unreachable")
+
+    def word(alpha):
+        return _mechanical_word(alpha, alpha if rho is None else Fraction(rho), length)
+
+    # the word settles once two consecutive convergents with q > length + 2
+    # agree, so words are built from the convergent before the first such q
+    convergents = _cf_convergents(coeffs)
+    before = None
+    for alpha in convergents:
+        if alpha.denominator > length + 2:
+            break
+        before = alpha
+    prev_word = None if before is None else word(before)
+    cur = word(alpha)
+    while cur != prev_word:
+        prev_word, cur = cur, word(next(convergents))
+    return cur
 
 
 def mechanical_prefix(slope, intercept, length: int) -> bytes:

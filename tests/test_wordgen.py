@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,33 @@ AB = wordgen.Alphabet("ab")
 THUE_MORSE = wordgen.Morphism.parse("a=ab,b=ba")
 CANTOR = wordgen.Morphism.parse("a=aba,b=bbb")
 FIBONACCI = wordgen.Morphism.parse("a=ab,b=a")
+
+# the morphic presets and the three morphisms of ROADMAP item 1
+ITERATED_MORPHISMS = [
+    *(src.morphism for src in wordgen.PRESETS.values() if isinstance(src, wordgen.MorphicSource)),
+    wordgen.Morphism.parse("a=aaba,b=babb"),
+    wordgen.Morphism.parse("a=acb,b=bccab,c=cbc"),
+    wordgen.Morphism.parse("a=ab,b=cb,c=cabc"),
+]
+# c is unreachable from a and outgrows every reachable letter
+UNREACHABLE_GROWS = wordgen.Morphism.parse("a=ab,b=a,c=cccc")
+
+
+def _iterated_images(m, length):
+    """sigma^k(a) by repeated Morphism.apply, for k = 0, 1, ... until the
+    image has at least `length` symbols."""
+    images = [b"\x00"]
+    while len(images[-1]) < length:
+        images.append(m.apply(images[-1]))
+    return images
+
+
+def _assert_matches_iterated_apply(m):
+    longest = 1 << 16
+    images = _iterated_images(m, longest + 1)
+    boundaries = [len(img) + d for img in images[:-1] for d in (-1, 0, 1)]
+    for length in sorted({1, longest, *(b for b in boundaries if b >= 1)}):
+        assert wordgen.morphic_prefix(m, 0, length) == images[-1][:length], length
 
 
 class TestAlphabet:
@@ -68,6 +97,23 @@ class TestMorphicPrefix:
         lo, hi = sorted((n, m))
         long = wordgen.morphic_prefix(THUE_MORSE, 0, hi)
         assert wordgen.morphic_prefix(THUE_MORSE, 0, lo) == long[:lo]
+
+    @pytest.mark.parametrize("m", ITERATED_MORPHISMS, ids=lambda m: ",".join(
+        f"{c}={m.alphabet.decode(img)}" for c, img in zip(m.alphabet.chars, m.images)))
+    def test_matches_iterated_apply(self, m):
+        _assert_matches_iterated_apply(m)
+
+    def test_unreachable_letter_is_not_expanded(self):
+        # sigma^10(a) has 144 symbols; expanding c too would build 4^10
+        tracemalloc.start()
+        try:
+            wordgen.morphic_prefix(UNREACHABLE_GROWS, 0, 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        # only past the guard: expanding c here would need 4^23 bytes
+        _assert_matches_iterated_apply(UNREACHABLE_GROWS)
 
 
 class TestPaperfolding:
@@ -128,6 +174,29 @@ class TestMechanical:
 
         want = bytes(0 if floor(n + 1) - floor(n) == 1 else 1 for n in range(2000))
         assert wordgen.mechanical_prefix(slope, intercept, 2000) == want
+
+    @pytest.mark.parametrize("intercept", [None, Fraction(1, 3)])
+    @pytest.mark.parametrize("coeffs", [(1,), (2,), (1, 2), (5,), (3, 1, 4)])
+    def test_cf_matches_walk_over_every_convergent(self, coeffs, intercept):
+        def walk(length):
+            # each convergent's word in turn, until two consecutive ones
+            # with q > length + 2 agree
+            p0, p1, q0, q1 = 1, 0, 0, 1
+            prev = None
+            for i in itertools.count():
+                a = coeffs[i % len(coeffs)]
+                p0, p1, q0, q1 = p1, a * p1 + p0, q1, a * q1 + q0
+                slope = Fraction(p1, q1)
+                rho = slope if intercept is None else intercept
+                floors = [math.floor(n * slope + rho) for n in range(length + 1)]
+                word = bytes(0 if hi - lo == 1 else 1 for lo, hi in zip(floors, floors[1:]))
+                if word == prev and q1 > length + 2:
+                    return word
+                prev = word
+
+        # (5,) at lengths 1 and 2: the first convergent already has q > length + 2
+        for length in (1, 2, 3, 8, 40, 300):
+            assert wordgen.mechanical_prefix(list(coeffs), intercept, length) == walk(length), length
 
     def test_bad_cf_coefficients(self):
         with pytest.raises(ValueError):
