@@ -7,6 +7,7 @@ prefix with the maximum factor length its doubling certification covers.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -108,10 +109,24 @@ def morphic_prefix(m: Morphism, seed: int, length: int) -> bytes:
         for d in m.images[c]:
             if d not in reachable:
                 reachable.append(d)
+    # every level is cut to `length` symbols: a letter that outgrows the
+    # seed would otherwise build far more than the prefix reads
     level = {c: bytes([c]) for c in reachable}
     while len(level[seed]) < length:
-        level = {c: b"".join([level[d] for d in m.images[c]]) for c in reachable}
-    return level[seed][:length]
+        level = {c: _join_prefix([level[d] for d in m.images[c]], length) for c in reachable}
+    return level[seed]
+
+
+def _join_prefix(pieces, length: int) -> bytes:
+    # first `length` symbols of the concatenation, joining only the pieces
+    # that start before `length`
+    used, total = [], 0
+    for piece in pieces:
+        if total >= length:
+            break
+        used.append(piece)
+        total += len(piece)
+    return b"".join(used)[:length]
 
 
 def paperfolding_prefix(length: int) -> bytes:
@@ -172,23 +187,18 @@ def _cf_convergents(coeffs):
 def _mechanical_cf(coeffs, rho, length: int) -> bytes:
     if not coeffs or any(c < 1 for c in coeffs):
         raise ValueError("continued-fraction coefficients must be >= 1")
-
-    def word(alpha):
-        return _mechanical_word(alpha, alpha if rho is None else Fraction(rho), length)
-
-    # the word settles once two consecutive convergents with q > length + 2
-    # agree, so words are built from the convergent before the first such q
-    convergents = _cf_convergents(coeffs)
-    before = None
-    for alpha in convergents:
-        if alpha.denominator > length + 2:
-            break
-        before = alpha
-    prev_word = None if before is None else word(before)
-    cur = word(alpha)
-    while cur != prev_word:
-        prev_word, cur = cur, word(next(convergents))
-    return cur
+    prev_word = None
+    for alpha, after in itertools.pairwise(_cf_convergents(coeffs)):
+        # the walk cannot stop before the first convergent with
+        # q > length + 2, so no word is built before the one just ahead of it
+        if after.denominator <= length + 2:
+            continue
+        r = alpha if rho is None else Fraction(rho)
+        word = _mechanical_word(alpha, r, length)
+        if word == prev_word and alpha.denominator > length + 2:
+            return word
+        prev_word = word
+    raise AssertionError("unreachable")
 
 
 def mechanical_prefix(slope, intercept, length: int) -> bytes:

@@ -24,6 +24,8 @@ ITERATED_MORPHISMS = [
 ]
 # c is unreachable from a and outgrows every reachable letter
 UNREACHABLE_GROWS = wordgen.Morphism.parse("a=ab,b=a,c=cccc")
+# c is reachable from a and outgrows it: |sigma^5(a)| = 270,538, |sigma^5(c)| = 64^5
+REACHABLE_GROWS = wordgen.Morphism.parse("a=ab,b=bc,c=" + "c" * 64)
 
 
 def _iterated_images(m, length):
@@ -35,8 +37,7 @@ def _iterated_images(m, length):
     return images
 
 
-def _assert_matches_iterated_apply(m):
-    longest = 1 << 16
+def _assert_matches_iterated_apply(m, longest=1 << 16):
     images = _iterated_images(m, longest + 1)
     boundaries = [len(img) + d for img in images[:-1] for d in (-1, 0, 1)]
     for length in sorted({1, longest, *(b for b in boundaries if b >= 1)}):
@@ -104,16 +105,33 @@ class TestMorphicPrefix:
         _assert_matches_iterated_apply(m)
 
     def test_unreachable_letter_is_not_expanded(self):
-        # sigma^10(a) has 144 symbols; expanding c too would build 4^10
-        tracemalloc.start()
-        try:
-            wordgen.morphic_prefix(UNREACHABLE_GROWS, 0, 100)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 1024
-        # only past the guard: expanding c here would need 4^23 bytes
+        read = set()
+
+        class RecordingImages(tuple):
+            def __getitem__(self, code):
+                read.add(code)
+                return super().__getitem__(code)
+
+        m = wordgen.Morphism.parse("a=ab,b=a,c=cccc")
+        object.__setattr__(m, "images", RecordingImages(m.images))
+        wordgen.morphic_prefix(m, 0, 1 << 12)
+        assert read == {0, 1}
         _assert_matches_iterated_apply(UNREACHABLE_GROWS)
+
+    def test_reachable_letter_is_cut_to_length(self):
+        # 71 symbols take sigma^4(a), 4233 take sigma^5(a). Uncut, sigma^4(c)
+        # alone has 64^4 symbols; joining all 64 pieces of c's image at 4233
+        # would hold 64 * 4233. The second length runs only if the first passed.
+        for length in (71, 4233):
+            tracemalloc.start()
+            try:
+                wordgen.morphic_prefix(REACHABLE_GROWS, 0, length)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 1024, length
+        # only past the guard: past sigma^5(a) an uncut sigma^6(c) has 64^6
+        _assert_matches_iterated_apply(REACHABLE_GROWS, longest=270_539)
 
 
 class TestPaperfolding:
@@ -197,6 +215,21 @@ class TestMechanical:
         # (5,) at lengths 1 and 2: the first convergent already has q > length + 2
         for length in (1, 2, 3, 8, 40, 300):
             assert wordgen.mechanical_prefix(list(coeffs), intercept, length) == walk(length), length
+
+    def test_cf_builds_words_only_near_the_threshold(self, monkeypatch):
+        # the first convergent of [0; 1, 1, ...] with q > 4098 is the 18th
+        # (q = 4181); the word of the one before it is the first built
+        built = []
+        word = wordgen._mechanical_word
+
+        def counted(alpha, rho, n):
+            built.append(alpha)
+            return word(alpha, rho, n)
+
+        monkeypatch.setattr(wordgen, "_mechanical_word", counted)
+        wordgen.mechanical_prefix([1], None, 4096)
+        assert len(built) <= 3
+        assert built[0].denominator <= 4098 < built[1].denominator
 
     def test_bad_cf_coefficients(self):
         with pytest.raises(ValueError):
