@@ -3,13 +3,14 @@ on closed factors (unique closed neighbors, frontier-length distances).
 
 Checks run on realized overlaps, i.e. windows of the actual prefix, not
 abstract graph paths: a path in the graph need not be realized as a
-factor, while every claim below is assertable on windows.
+factor, while every claim below is assertable on windows. They read each
+window's frontier from a complexity.FactorIndex of the buffer.
 """
 
 from dataclasses import dataclass
 
 from wordlab import closure
-from wordlab.complexity import factors_of_length
+from wordlab.complexity import check_length, factors_of_length
 
 
 @dataclass(frozen=True)
@@ -78,18 +79,20 @@ def closed_extension_violation(core: bytes, letters, side: str):
     )
 
 
-def check_closed_neighbor_uniqueness(buf, n: int, force: bool = False) -> list:
+def check_closed_neighbor_uniqueness(index, n: int, force: bool = False) -> list:
     """Every factor of length n-1 has at most one closed left extension
     bw and at most one closed right extension wc among the length-n
-    factors; returns the violations (expected none)."""
+    factors of index.buf, read off the FactorIndex index; returns the
+    violations (expected none)."""
     if n < 2:
         raise ValueError("needs n >= 2")
+    check_length(index.buf, n, force)
+    data = index.buf.data
     pred = {}
     succ = {}
-    for w in factors_of_length(buf, n, force):
-        if closure.classify(w).closed:
-            pred.setdefault(w[1:], []).append(w[0])
-            succ.setdefault(w[:-1], []).append(w[-1])
+    for w in {data[j : j + n] for j, f in enumerate(index.frontiers(n)) if f >= 0}:
+        pred.setdefault(w[1:], []).append(w[0])
+        succ.setdefault(w[:-1], []).append(w[-1])
     violations = []
     for side, extensions in (("left", pred), ("right", succ)):
         for core, letters in sorted(extensions.items()):
@@ -97,15 +100,6 @@ def check_closed_neighbor_uniqueness(buf, n: int, force: bool = False) -> list:
             if violation is not None:
                 violations.append(violation)
     return violations
-
-
-def _frontier_cache(cache, w):
-    f = cache.get(w)
-    if f is None:
-        verdict = closure.classify(w)
-        f = verdict.frontier if verdict.closed else -1
-        cache[w] = f
-    return f
 
 
 def frontier_distance_violation(f1: int, f2: int, i: int):
@@ -117,30 +111,32 @@ def frontier_distance_violation(f1: int, f2: int, i: int):
     return f"frontiers {f1} and {f2} differ by {abs(f1 - f2)} >= {i}"
 
 
-def check_frontier_distance(buf, n: int, i_max: int) -> list:
+def check_frontier_distance(index, n: int, i_max: int) -> list:
     """For realized overlapping windows w1 = data[j:j+n] and
-    w2 = data[j+i:j+i+n], both closed with frontiers u1, u2:
+    w2 = data[j+i:j+i+n] of index.buf, both closed with frontiers u1, u2:
     ||u1|-|u2|| < i must hold, with equality of lengths when i = 1.
     Returns the violations (expected none), one per distinct (w1, w2, i)."""
     if i_max < 1:
         raise ValueError("i_max must be >= 1")
-    data = buf.data
+    data = index.buf.data
     if n + i_max > len(data):
         raise ValueError(
             f"windows of length n+i_max={n + i_max} do not fit in the buffer"
         )
-    cache = {}
+    frontiers = index.frontiers(n)
+    closed = [j for j, f in enumerate(frontiers) if f >= 0]
     violations = []
     seen_pairs = set()
     for i in range(1, i_max + 1):
-        for j in range(len(data) - n - i + 1):
-            w1 = data[j : j + n]
-            f1 = _frontier_cache(cache, w1)
-            if f1 < 0:
+        for j in closed:
+            if j + i >= len(frontiers):
+                break
+            detail = frontier_distance_violation(frontiers[j], frontiers[j + i], i)
+            if detail is None:
                 continue
+            w1 = data[j : j + n]
             w2 = data[j + i : j + i + n]
-            detail = frontier_distance_violation(f1, _frontier_cache(cache, w2), i)
-            if detail is None or (w1, w2, i) in seen_pairs:
+            if (w1, w2, i) in seen_pairs:
                 continue
             seen_pairs.add((w1, w2, i))
             violations.append(
@@ -153,31 +149,30 @@ def check_frontier_distance(buf, n: int, i_max: int) -> list:
     return violations
 
 
-def check_closed_path_frontiers(buf, n: int, walk_max: int) -> list:
-    """Along a window walk j..j+m, if the end windows are closed then the
-    difference of their frontier lengths is at most the number of
-    distinct open windows strictly between them (zero when all closed)."""
-    data = buf.data
-    cache = {}
+def check_closed_path_frontiers(index, n: int, walk_max: int) -> list:
+    """Along a window walk j..j+m of index.buf, if the end windows are
+    closed then the difference of their frontier lengths is at most the
+    number of distinct open windows strictly between them (zero when all
+    closed)."""
+    data = index.buf.data
+    frontiers = index.frontiers(n)
     violations = []
     for j in range(len(data) - n):
-        limit = min(walk_max, len(data) - n - j)
-        w1 = data[j : j + n]
-        f1 = _frontier_cache(cache, w1)
+        f1 = frontiers[j]
         if f1 < 0:
             continue
+        limit = min(walk_max, len(data) - n - j)
         open_between = set()
         for m in range(1, limit + 1):
-            w2 = data[j + m : j + m + n]
-            f2 = _frontier_cache(cache, w2)
+            f2 = frontiers[j + m]
             if f2 < 0:
-                open_between.add(w2)
+                open_between.add(data[j + m : j + m + n])
                 continue
             if abs(f1 - f2) > len(open_between):
                 violations.append(
                     Violation(
                         check="closed-path-frontiers",
-                        word=w1,
+                        word=data[j : j + n],
                         detail=(
                             f"offset {j}, walk {m}: frontier gap {abs(f1 - f2)} "
                             f"exceeds {len(open_between)} distinct open windows"

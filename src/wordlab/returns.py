@@ -33,11 +33,13 @@ def report(buf, v) -> ReturnReport:
     v = closure._as_bytes(v)
     data = buf.data
     positions = closure.occurrences(v, data)
+    complete = sorted({data[i : j + len(v)] for i, j in pairwise(positions)})
     return ReturnReport(
         target=v,
         positions=tuple(positions),
-        complete_returns=tuple(sorted({data[i : j + len(v)] for i, j in pairwise(positions)})),
-        return_words=tuple(sorted({data[i:j] for i, j in pairwise(positions)})),
+        complete_returns=tuple(complete),
+        # data[i:j+|v|] = data[i:j] + v, so dropping v maps distinct to distinct
+        return_words=tuple(sorted(w[: -len(v)] for w in complete)),
         max_gap=max((j - i for i, j in pairwise(positions)), default=None),
         buffer_length=len(data),
     )

@@ -152,9 +152,14 @@ def check_cantor_minimum():
     return _pass(name, "cl(n) = 1 at n = 8, 22, 64")
 
 
-def _preset_buffers_for_rauzy():
+@lru_cache(maxsize=None)
+def _rauzy_index(preset: str):
+    return complexity.FactorIndex(_buffer(preset, RAUZY_N_MAX + 1), RAUZY_N_MAX)
+
+
+def _preset_indexes_for_rauzy():
     for preset in sorted(wordgen.PRESETS):
-        yield preset, _buffer(preset, RAUZY_N_MAX + 1)
+        yield preset, _rauzy_index(preset)
 
 
 def _bits(v: int, m: int) -> bytes:
@@ -230,17 +235,17 @@ def frontier_distance_sweep(table):
                     yield _bits(v, m), n, f"shift {i}: {detail}"
 
 
-def check_closed_neighbors():
+def check_closed_neighbors(table):
     """No factor has two closed left or two closed right extensions;
-    presets for n <= 12 plus every binary word of length <= 12."""
+    presets for n <= 12 plus every binary word of length <= 12, read
+    from table = binary_frontier_table(RAUZY_N_MAX)."""
     name = "rauzy-closed-neighbors"
-    for preset, buf in _preset_buffers_for_rauzy():
+    for preset, index in _preset_indexes_for_rauzy():
         for n in range(2, RAUZY_N_MAX + 1):
-            bad = rauzy.check_closed_neighbor_uniqueness(buf, n)
+            bad = rauzy.check_closed_neighbor_uniqueness(index, n)
             if bad:
                 v = bad[0]
-                return _fail(name, f"{preset} n={n}: {buf.decode(v.word)!r} {v.detail}")
-    table = binary_frontier_table(RAUZY_N_MAX)
+                return _fail(name, f"{preset} n={n}: {index.buf.decode(v.word)!r} {v.detail}")
     bad = next(closed_neighbor_sweep(table), None)
     if bad is not None:
         word, n, v = bad
@@ -250,18 +255,18 @@ def check_closed_neighbors():
     return _pass(name, f"presets n<={RAUZY_N_MAX} and {words} binary words")
 
 
-def check_frontier_distance():
+def check_frontier_distance(table):
     """Closed windows at shift i have frontier lengths differing by < i;
-    presets for n <= 12, i_max = 8, plus every binary word <= 12."""
+    presets for n <= 12, i_max = 8, plus every binary word <= 12, read
+    from table = binary_frontier_table(RAUZY_N_MAX)."""
     name = "rauzy-frontier-distance"
-    for preset, buf in _preset_buffers_for_rauzy():
+    for preset, index in _preset_indexes_for_rauzy():
         for n in range(1, RAUZY_N_MAX + 1):
-            i_max = min(FRONTIER_I_MAX, len(buf.data) - n)
-            bad = rauzy.check_frontier_distance(buf, n, i_max)
+            i_max = min(FRONTIER_I_MAX, len(index.buf.data) - n)
+            bad = rauzy.check_frontier_distance(index, n, i_max)
             if bad:
                 v = bad[0]
-                return _fail(name, f"{preset} n={n}: {buf.decode(v.word)!r} {v.detail}")
-    table = binary_frontier_table(RAUZY_N_MAX)
+                return _fail(name, f"{preset} n={n}: {index.buf.decode(v.word)!r} {v.detail}")
     bad = next(frontier_distance_sweep(table), None)
     if bad is not None:
         word, n, detail = bad
@@ -275,12 +280,12 @@ def check_closed_path_frontiers():
     """Frontier lengths along realized walks differ by at most the number
     of distinct open windows strictly between the closed endpoints."""
     name = "rauzy-closed-path-frontiers"
-    for preset, buf in _preset_buffers_for_rauzy():
+    for preset, index in _preset_indexes_for_rauzy():
         for n in range(1, 11):
-            bad = rauzy.check_closed_path_frontiers(buf, n, walk_max=12)
+            bad = rauzy.check_closed_path_frontiers(index, n, walk_max=12)
             if bad:
                 v = bad[0]
-                return _fail(name, f"{preset} n={n}: {buf.decode(v.word)!r} {v.detail}")
+                return _fail(name, f"{preset} n={n}: {index.buf.decode(v.word)!r} {v.detail}")
     return _pass(name, "presets, n <= 10, walks <= 12")
 
 
@@ -299,7 +304,8 @@ def check_right_special_exists():
 def check_graph_consistency():
     """|V| = p(n) and |E| = p(n+1) for every constructed Rauzy graph."""
     name = "rauzy-graph-consistency"
-    for preset, buf in _preset_buffers_for_rauzy():
+    for preset in sorted(wordgen.PRESETS):
+        buf = _buffer(preset, RAUZY_N_MAX + 1)
         rows = complexity.profile(buf, 1, 12)
         p = {row.n: row.p for row in rows}
         for n in range(1, 12):
@@ -315,7 +321,8 @@ def check_graph_consistency():
 
 def check_periodic_collapse():
     """All factors of v^omega of length >= 2|v| are closed, for every
-    primitive binary v with |v| <= 5, n <= 20."""
+    primitive binary v with |v| <= 5, n <= 20; one closed_prefixes call
+    per offset gives the closed lengths there."""
     name = "periodic-collapse"
     alphabet = wordgen.Alphabet("ab")
     tested = 0
@@ -326,14 +333,17 @@ def check_periodic_collapse():
                 continue
             tested += 1
             data = (v * (20 // k + 3))[: 20 + 2 * k + 20]
+            closed = [
+                {n for n, _ in kernels.closed_prefixes(data[i : i + 20], 2 * k)}
+                for i in range(len(data) - 2 * k + 1)
+            ]
             for n in range(2 * k, 21):
                 for i in range(len(data) - n + 1):
-                    w = data[i : i + n]
-                    if not closure.classify(w).closed:
+                    if n not in closed[i]:
                         return _fail(
                             name,
                             f"v={alphabet.decode(v)!r} n={n}: open window "
-                            f"{alphabet.decode(w)!r} at offset {i}",
+                            f"{alphabet.decode(data[i : i + n])!r} at offset {i}",
                         )
     return _pass(name, f"{tested} primitive periods")
 
@@ -462,16 +472,14 @@ def check_branching_witness():
     d = 1
     data = buf.source.prefix(4096)
     half = len(data) // 2
+    letters = [bytes([c]) for c in sorted(set(data))]
 
     def is_special(w):
-        rights = set()
-        lefts = set()
-        for i in closure.occurrences(w, data):
-            if i > 0:
-                lefts.add(data[i - 1])
-            if i + len(w) < len(data):
-                rights.add(data[i + len(w)])
-        return len(rights) >= 2 or len(lefts) >= 2
+        # c extends w on the right exactly when wc is a factor; left alike
+        return (
+            sum(data.find(w + c) != -1 for c in letters) >= 2
+            or sum(data.find(c + w) != -1 for c in letters) >= 2
+        )
 
     for n in range(1, 9):
         seen = {}
@@ -530,11 +538,16 @@ def run_verify_suite(only=None, classify_impl=None) -> list:
         if unknown:
             raise ValueError(f"unknown checks: {sorted(unknown)}")
     outcomes = []
+    table = None  # built once for the checks that sweep it, never shared across calls
     for name, fn in CHECKS:
         if only is not None and name not in only:
             continue
         if fn is check_closure_equivalence:
             outcomes.append(fn(classify_impl=classify_impl))
+        elif fn in (check_closed_neighbors, check_frontier_distance):
+            if table is None:
+                table = binary_frontier_table(RAUZY_N_MAX)
+            outcomes.append(fn(table))
         else:
             outcomes.append(fn())
     return outcomes

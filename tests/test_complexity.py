@@ -50,6 +50,31 @@ class TestFactorsOfLength:
         assert got == expected
 
 
+class TestFactorIndex:
+    def test_matches_brute_on_every_window(self):
+        # every window of every binary word of length <= 10, at every n,
+        # with rows cut short (n_max 3) and reaching past the word (n_max 12)
+        brute = {}
+        for w in binary_words(10):
+            verdict = closure.classify_brute(w)
+            brute[w] = verdict.frontier if verdict.closed else -1
+        for w in binary_words(10):
+            buf = wordgen.literal_buffer(w, AB)
+            for n_max in (3, 12):
+                index = complexity.FactorIndex(buf, n_max)
+                for n in range(1, n_max + 1):
+                    want = tuple(brute[w[j : j + n]] for j in range(len(w) - n + 1))
+                    assert index.frontiers(n) == want, (w, n_max, n)
+
+    def test_unindexed_lengths_raise(self, fib_buffer):
+        index = complexity.FactorIndex(fib_buffer, 4)
+        for n in (0, 5):
+            with pytest.raises(ValueError):
+                index.frontiers(n)
+        with pytest.raises(ValueError):
+            complexity.FactorIndex(fib_buffer, 0)
+
+
 class TestProfile:
     def test_thue_morse_length_two(self, tm_buffer):
         row = complexity.profile(tm_buffer, 2, 2)[0]

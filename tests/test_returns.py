@@ -4,6 +4,7 @@ from wordlab import closure, complexity, returns, wordgen
 from wordlab.errors import InsufficientOccurrencesError
 
 AB = wordgen.Alphabet("ab")
+ABC = wordgen.Alphabet("abc")
 
 
 def fib_prefix_buffer(length=256):
@@ -86,6 +87,24 @@ class TestReport:
         assert rep.buffer_length == 256
         assert rep.max_gap == 3
         assert len(rep.return_words) == len(rep.complete_returns) == 2
+
+    @pytest.mark.parametrize("source", ["fibonacci", "tribonacci", "periodic"])
+    def test_fields_match_two_scans(self, source):
+        # return words from the occurrence pairs directly, not stripped
+        # from the complete returns
+        if source == "periodic":
+            src = wordgen.UltimatelyPeriodicSource("c(aab)^w", ABC, ABC.encode("c"), ABC.encode("aab"))
+        else:
+            src = wordgen.get_preset(source)
+        buf = wordgen.PrefixBuffer(source=src, data=src.prefix(2048), stable_upto=0)
+        data = buf.data
+        for start, m in ((1, 1), (5, 2), (17, 3), (40, 5), (100, 8), (300, 13)):
+            v = data[start : start + m]
+            rep = returns.report(buf, v)
+            pairs = list(zip(rep.positions, rep.positions[1:]))
+            assert len(pairs) >= 2
+            assert rep.complete_returns == tuple(sorted({data[i : j + m] for i, j in pairs}))
+            assert rep.return_words == tuple(sorted({data[i:j] for i, j in pairs}))
 
     def test_single_occurrence_report(self):
         buf = wordgen.literal_buffer("abcd")
