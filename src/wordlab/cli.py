@@ -11,11 +11,7 @@ import sys
 from fractions import Fraction
 
 from wordlab import closure, complexity, rauzy, returns, verify, wordgen
-from wordlab.errors import (
-    InsufficientOccurrencesError,
-    StabilizationError,
-    UncertifiedLengthError,
-)
+from wordlab.errors import StabilizationError, UncertifiedLengthError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -66,9 +62,7 @@ def _resolve_source(args):
         intercept = Fraction(args.intercept) if args.intercept else None
         if args.cf:
             coeffs = tuple(int(c) for c in args.cf.split(","))
-            return wordgen.MechanicalSource(
-                name="mechanical", slope=coeffs, intercept=intercept, aperiodic=True
-            )
+            return wordgen.MechanicalSource(name="mechanical", slope=coeffs, intercept=intercept)
         if args.slope:
             return wordgen.MechanicalSource(
                 name="mechanical", slope=Fraction(args.slope), intercept=intercept
@@ -242,7 +236,7 @@ def main(argv=None) -> int:
     except (StabilizationError, UncertifiedLengthError) as exc:
         print(f"certification error: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
-    except (InsufficientOccurrencesError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

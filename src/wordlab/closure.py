@@ -1,7 +1,7 @@
 """Open/closed classification of finite words.
 
-classify goes through wordlab.kernels (border table plus an occurrence
-check of the longest border); classify_brute is the
+classify goes through wordlab.kernels, which reads the frontier off the
+longest prefix that recurs at a start >= 1; classify_brute is the
 independent oracle that tries every border length with naive scans.
 Both accept bytes or plain ASCII strings.
 """
@@ -36,23 +36,6 @@ def _as_bytes(w) -> bytes:
     if len(w) == 0:
         raise ValueError("empty word")
     return bytes(w)
-
-
-def border_table(w) -> list:
-    """Entry i = length of the longest proper border of w[:i+1]."""
-    return kernels.border_table(_as_bytes(w))
-
-
-def longest_border(w) -> int:
-    return kernels.border_table(_as_bytes(w))[-1]
-
-
-def occurrences(pattern, text) -> list:
-    """Sorted start positions of pattern in text, overlaps included."""
-    pattern = _as_bytes(pattern)
-    if isinstance(text, str):
-        text = text.encode("ascii")
-    return kernels.occurrences(pattern, bytes(text))
 
 
 def classify(w) -> ClosureVerdict:

@@ -5,7 +5,7 @@ import io
 import itertools
 from dataclasses import dataclass, field
 
-from wordlab import closure, kernels
+from wordlab import kernels
 from wordlab.errors import UncertifiedLengthError
 
 CSV_COLUMNS = ["n", "p", "op", "cl", "frontier_lengths"]
@@ -171,12 +171,6 @@ def syndetic_max_cl(rows, d: int, r: int):
     return SyndeticSample(gap=d, residue=r, values=values), max(values.values())
 
 
-def shortest_period(w) -> int:
-    """Smallest q >= 1 with w[i] == w[i+q] throughout; |w| minus the
-    longest border."""
-    return len(closure._as_bytes(w)) - closure.longest_border(w)
-
-
 def rows_to_csv(rows, alphabet=None, force: bool = False) -> str:
     """Serialize rows to the fixed CSV schema. The approx column is
     emitted only under force, where uncertified rows can appear."""
@@ -197,25 +191,3 @@ def rows_to_csv(rows, alphabet=None, force: bool = False) -> str:
         writer.writerow(record)
     return out.getvalue()
 
-
-def rows_from_csv(text: str) -> list:
-    """Parse rows_to_csv output back into ComplexityRow objects."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header[: len(CSV_COLUMNS)] != CSV_COLUMNS:
-        raise ValueError(f"unexpected CSV header {header!r}")
-    has_approx = header[len(CSV_COLUMNS) :] == ["approx"]
-    rows = []
-    for record in reader:
-        frontiers = tuple(int(f) for f in record[4].split(";") if f)
-        rows.append(
-            ComplexityRow(
-                n=int(record[0]),
-                p=int(record[1]),
-                op=int(record[2]),
-                cl=int(record[3]),
-                frontier_lengths=frontiers,
-                approx=bool(int(record[5])) if has_approx else False,
-            )
-        )
-    return rows

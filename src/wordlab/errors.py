@@ -25,13 +25,3 @@ class StabilizationError(RuntimeError):
         self.last_counts = last_counts
         self.prev_counts = prev_counts
 
-
-class InsufficientOccurrencesError(ValueError):
-    """Return-word queries need the target to occur at least twice."""
-
-    def __init__(self, target, count):
-        super().__init__(
-            f"target occurs {count} time(s) in the buffer; need at least 2"
-        )
-        self.target = target
-        self.count = count

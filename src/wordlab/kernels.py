@@ -1,36 +1,17 @@
-"""String kernels: border tables, overlapping occurrence search, and the
-closed prefixes of a word.
+"""String kernels: overlapping occurrence search and the closed prefixes
+of a word.
 
 Closure is read off the longest repeated prefix: w[:n] is closed exactly
 where the longest prefix of w[:n] that recurs in it at a start >= 1 grows,
 and that prefix is its frontier. closed_prefixes finds where it grows with
 one bytes.find per closed prefix (plus a binary search for where to
-start), skipping open prefixes and building no border table;
-frontier_length is one call of it. border_table serves
-closure.border_table and closure.longest_border only.
+start), skipping open prefixes; frontier_length is one call of it.
 
 There is one backend, pure Python leaning on bytes.find. BACKEND stays a
 constant because benchmark records carry it.
 """
 
 BACKEND = "pure"
-
-
-def border_table(w: bytes) -> list:
-    """Failure function: entry i is the longest proper border of w[:i+1]."""
-    n = len(w)
-    if n == 0:
-        raise ValueError("border_table of empty word")
-    table = [0] * n
-    k = 0
-    for i in range(1, n):
-        c = w[i]
-        while k and c != w[k]:
-            k = table[k - 1]
-        if c == w[k]:
-            k += 1
-        table[i] = k
-    return table
 
 
 def occurrences(pattern: bytes, text: bytes) -> list:

@@ -8,8 +8,7 @@ carry the occurrence count and buffer length so callers can tell
 from dataclasses import dataclass
 from itertools import pairwise
 
-from wordlab import closure
-from wordlab.errors import InsufficientOccurrencesError
+from wordlab import closure, kernels
 
 
 @dataclass(frozen=True)
@@ -32,7 +31,7 @@ def report(buf, v) -> ReturnReport:
     is None."""
     v = closure._as_bytes(v)
     data = buf.data
-    positions = closure.occurrences(v, data)
+    positions = kernels.occurrences(v, data)
     complete = sorted({data[i : j + len(v)] for i, j in pairwise(positions)})
     return ReturnReport(
         target=v,
@@ -44,26 +43,3 @@ def report(buf, v) -> ReturnReport:
         buffer_length=len(data),
     )
 
-
-def _report_or_raise(buf, v) -> ReturnReport:
-    rep = report(buf, v)
-    if rep.occurrence_count < 2:
-        raise InsufficientOccurrencesError(rep.target, rep.occurrence_count)
-    return rep
-
-
-def complete_first_returns(buf, v) -> list:
-    """For consecutive occurrences i < i' of v, the factor
-    data[i : i'+|v|]; deduplicated, sorted."""
-    return list(_report_or_raise(buf, v).complete_returns)
-
-
-def return_words(buf, v) -> list:
-    """Complete first returns with the trailing copy of v removed."""
-    return list(_report_or_raise(buf, v).return_words)
-
-
-def max_gap(buf, v) -> int:
-    """Largest distance between consecutive occurrences of v; the
-    window after the last occurrence is deliberately excluded."""
-    return _report_or_raise(buf, v).max_gap

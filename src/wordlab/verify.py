@@ -57,15 +57,14 @@ def _is_primitive(w: bytes) -> bool:
     return not any(n % q == 0 and w[:q] * (n // q) == w for q in range(1, n))
 
 
-def check_closure_equivalence(classify_impl=None):
+def check_closure_equivalence():
     """classify agrees with the exhaustive oracle on every binary word of
     length 1..12, in status and frontier length."""
     name = "closure-oracle-equivalence"
-    impl = classify_impl or closure.classify
     total = 0
     for w in _binary_words(12):
         total += 1
-        got = impl(w)
+        got = closure.classify(w)
         want = closure.classify_brute(w)
         if got != want:
             text = wordgen.Alphabet("ab").decode(w)
@@ -130,7 +129,7 @@ def check_fibonacci_two_returns():
     checked = 0
     for k in range(1, 16):
         for v in complexity.factors_of_length(buf, k, force=True):
-            words = returns.return_words(buf, v)
+            words = returns.report(buf, v).return_words
             checked += 1
             if len(words) != 2:
                 return _fail(
@@ -398,7 +397,7 @@ def check_unique_return_periodicity():
         tail = wordgen.literal_buffer(data[len(u) :], alphabet)
         for n in range(len(v), 2 * len(v) + 1):
             for w in complexity.factors_of_length(tail, n):
-                words = returns.return_words(tail, w)
+                words = returns.report(tail, w).return_words
                 if len(words) != 1:
                     return _fail(
                         name,
@@ -530,7 +529,7 @@ CHECKS = [
 ]
 
 
-def run_verify_suite(only=None, classify_impl=None) -> list:
+def run_verify_suite(only=None) -> list:
     """Run the registered checks (all, or the named subset) and return
     their outcomes in registration order."""
     if only is not None:
@@ -542,9 +541,7 @@ def run_verify_suite(only=None, classify_impl=None) -> list:
     for name, fn in CHECKS:
         if only is not None and name not in only:
             continue
-        if fn is check_closure_equivalence:
-            outcomes.append(fn(classify_impl=classify_impl))
-        elif fn in (check_closed_neighbors, check_frontier_distance):
+        if fn in (check_closed_neighbors, check_frontier_distance):
             if table is None:
                 table = binary_frontier_table(RAUZY_N_MAX)
             outcomes.append(fn(table))

@@ -129,20 +129,6 @@ def _join_prefix(pieces, length: int) -> bytes:
     return b"".join(used)[:length]
 
 
-def paperfolding_prefix(length: int) -> bytes:
-    """Regular paperfolding word: position n (1-based) is 1 iff the odd
-    part of n is congruent to 1 mod 4. Symbol codes are the bit values."""
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    out = bytearray()
-    for n in range(1, length + 1):
-        m = n
-        while m % 2 == 0:
-            m //= 2
-        out.append(1 if m % 4 == 1 else 0)
-    return bytes(out)
-
-
 def ultimately_periodic_prefix(u: bytes, v: bytes, length: int) -> bytes:
     """First `length` symbols of u v^omega."""
     if length < 1:
@@ -224,30 +210,30 @@ def mechanical_prefix(slope, intercept, length: int) -> bytes:
 
 @dataclass(frozen=True)
 class MorphicSource:
+    """The fixed point of morphism from seed, read through coding when
+    it is given: coding[c] is the output character of letter code c."""
+
     name: str
     morphism: Morphism
     seed: int
-    aperiodic: bool = False
+    coding: str = None
+
+    def __post_init__(self):
+        if self.coding is not None and len(self.coding) != self.morphism.alphabet.size:
+            raise ValueError("coding needs one character per morphism letter")
 
     @property
     def alphabet(self) -> Alphabet:
-        return self.morphism.alphabet
+        if self.coding is None:
+            return self.morphism.alphabet
+        return Alphabet("".join(sorted(set(self.coding))))
 
     def prefix(self, length: int) -> bytes:
-        return morphic_prefix(self.morphism, self.seed, length)
-
-
-@dataclass(frozen=True)
-class PaperfoldingSource:
-    name: str = "paperfolding"
-    aperiodic: bool = True
-
-    @property
-    def alphabet(self) -> Alphabet:
-        return Alphabet("01")
-
-    def prefix(self, length: int) -> bytes:
-        return paperfolding_prefix(length)
+        word = morphic_prefix(self.morphism, self.seed, length)
+        if self.coding is None:
+            return word
+        codes = self.alphabet.encode(self.coding)
+        return word.translate(bytes.maketrans(bytes(range(len(codes))), codes))
 
 
 @dataclass(frozen=True)
@@ -255,7 +241,6 @@ class MechanicalSource:
     name: str
     slope: object  # Fraction or tuple of CF coefficients
     intercept: object = None  # Fraction or None for characteristic
-    aperiodic: bool = False  # rational slopes stay flagged periodic
 
     @property
     def alphabet(self) -> Alphabet:
@@ -271,7 +256,6 @@ class UltimatelyPeriodicSource:
     alphabet: Alphabet
     preperiod: bytes
     period: bytes
-    aperiodic: bool = False
 
     def __post_init__(self):
         if len(self.period) == 0:
@@ -289,7 +273,6 @@ class LiteralSource:
     name: str
     alphabet: Alphabet
     data: bytes
-    aperiodic: bool = False
 
     def prefix(self, length: int) -> bytes:
         if length < 1 or length > len(self.data):
@@ -369,9 +352,8 @@ def stabilized_prefix(source, n_max: int, hard_cap: int = None) -> PrefixBuffer:
     raise StabilizationError(cap, counts, prev_counts)
 
 
-def _morphic_preset(name, rules, aperiodic=True):
-    m = Morphism.parse(rules)
-    return MorphicSource(name=name, morphism=m, seed=0, aperiodic=aperiodic)
+def _morphic_preset(name, rules):
+    return MorphicSource(name=name, morphism=Morphism.parse(rules), seed=0)
 
 
 PRESETS = {
@@ -379,7 +361,11 @@ PRESETS = {
     "fibonacci": _morphic_preset("fibonacci", "a=ab,b=a"),
     "cantor": _morphic_preset("cantor", "a=aba,b=bbb"),
     "period-doubling": _morphic_preset("period-doubling", "a=ab,b=aa"),
-    "paperfolding": PaperfoldingSource(),
+    # the regular paperfolding word (Allouche & Shallit, Automatic
+    # Sequences, 2003): a, b -> 1 and c, d -> 0
+    "paperfolding": MorphicSource(
+        name="paperfolding", morphism=Morphism.parse("a=ab,b=cb,c=ad,d=cd"), seed=0, coding="1100"
+    ),
     "tribonacci": _morphic_preset("tribonacci", "a=ab,b=ac,c=a"),
 }
 

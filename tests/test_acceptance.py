@@ -65,7 +65,7 @@ def test_05_fibonacci_sturmian_and_returns():
     )
     for k in range(1, 16):
         for v in complexity.factors_of_length(long_buf, k, force=True):
-            assert len(returns.return_words(long_buf, v)) == 2, long_buf.decode(v)
+            assert len(returns.report(long_buf, v).return_words) == 2, long_buf.decode(v)
     announce(5, "fibonacci p(n) = n+1 and two return words per factor")
 
 

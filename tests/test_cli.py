@@ -1,4 +1,4 @@
-from wordlab import cli
+from wordlab import cli, complexity, verify, wordgen
 
 
 def run(capsys, *argv):
@@ -77,12 +77,10 @@ class TestProfile:
         assert b"8,15,14,1,7" in first  # n=8 row has cl=1
 
     def test_roundtrip_reserialization(self, capsys, tmp_path):
-        from wordlab import complexity
-
         target = tmp_path / "out.csv"
         assert cli.main(["profile", "--source", "thue-morse", "--n", "1..12", "--csv", str(target)]) == 0
-        text = target.read_text()
-        assert complexity.rows_to_csv(complexity.rows_from_csv(text)) == text
+        buf = wordgen.stabilized_prefix(wordgen.get_preset("thue-morse"), 12)
+        assert target.read_text() == complexity.rows_to_csv(complexity.profile(buf, 1, 12))
 
     def test_syndetic_filter(self, capsys):
         code, out, _ = run(
@@ -165,3 +163,13 @@ class TestVerify:
         assert code == 0
         assert out.startswith("PASS closure-worked-examples")
         assert "1 checks, 0 failed" in out
+
+    def test_factor_seen_once_fails_check(self, capsys, monkeypatch):
+        # aabaa occurs once in the first 21 symbols, so it has no return word there
+        monkeypatch.setattr(verify, "FIB_TWO_RETURNS_PREFIX", 21)
+        code, out, _ = run(capsys, "verify", "--only", "fibonacci-two-returns")
+        assert code == 1
+        assert out == (
+            "FAIL fibonacci-two-returns: factor 'aabaa': 0 return words []\n"
+            "1 checks, 1 failed\n"
+        )

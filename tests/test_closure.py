@@ -1,55 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from wordlab import closure
+from wordlab import closure, kernels
 from conftest import binary_words, is_primitive
 
 small_words = st.text(alphabet="abc", min_size=1, max_size=40)
-
-
-class TestBorderTable:
-    def test_hand_computed(self):
-        assert closure.border_table("abaaaab") == [0, 0, 1, 1, 1, 1, 2]
-        assert closure.border_table("aabaaa") == [0, 1, 0, 1, 2, 2]
-
-    def test_unary(self):
-        assert closure.border_table("aaaa") == [0, 1, 2, 3]
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            closure.border_table("")
-
-    @given(small_words)
-    def test_steps_bounded_by_one(self, w):
-        table = closure.border_table(w)
-        assert all(table[i + 1] <= table[i] + 1 for i in range(len(table) - 1))
-
-    @given(small_words)
-    def test_entries_are_borders(self, w):
-        table = closure.border_table(w)
-        for i, b in enumerate(table):
-            prefix = w[: i + 1]
-            assert b < len(prefix)
-            assert prefix[:b] == prefix[len(prefix) - b :]
-
-
-class TestLongestBorder:
-    @pytest.mark.parametrize(
-        "word,expected", [("abaaaab", 2), ("aabab", 0), ("a", 0), ("aaaa", 3)]
-    )
-    def test_examples(self, word, expected):
-        assert closure.longest_border(word) == expected
-
-
-class TestOccurrences:
-    def test_examples(self):
-        assert closure.occurrences("ab", "abaaaab") == [0, 5]
-        assert closure.occurrences("aa", "aabaaa") == [0, 3, 4]
-        assert closure.occurrences("a", "a") == [0]
-
-    def test_empty_pattern_rejected(self):
-        with pytest.raises(ValueError):
-            closure.occurrences("", "abc")
 
 
 class TestClassify:
@@ -87,10 +42,10 @@ class TestClassify:
             verdict = closure.classify(w)
             if verdict.closed:
                 frontier = w[: verdict.frontier]
-                assert closure.occurrences(frontier, w) == [0, len(w) - verdict.frontier]
+                assert kernels.occurrences(frontier, w) == [0, len(w) - verdict.frontier]
 
     def test_primitive_square_occurrences(self):
         # for primitive w, w occurs in ww exactly at 0 and |w|
         for w in binary_words(10):
             if is_primitive(w):
-                assert closure.occurrences(w, w + w) == [0, len(w)]
+                assert kernels.occurrences(w, w + w) == [0, len(w)]

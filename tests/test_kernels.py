@@ -18,8 +18,6 @@ def test_backend_is_pure():
 
 def test_empty_inputs_rejected():
     with pytest.raises(ValueError):
-        kernels.border_table(b"")
-    with pytest.raises(ValueError):
         kernels.frontier_length(b"")
     with pytest.raises(ValueError):
         kernels.closed_prefixes(b"")

@@ -1,7 +1,6 @@
 import pytest
 
 from wordlab import closure, complexity, returns, wordgen
-from wordlab.errors import InsufficientOccurrencesError
 
 AB = wordgen.Alphabet("ab")
 ABC = wordgen.Alphabet("abc")
@@ -15,31 +14,25 @@ def fib_prefix_buffer(length=256):
 class TestCompleteFirstReturns:
     def test_fibonacci_letter_a(self):
         buf = fib_prefix_buffer()
-        got = returns.complete_first_returns(buf, AB.encode("a"))
+        got = returns.report(buf, AB.encode("a")).complete_returns
         assert [buf.decode(w) for w in got] == ["aa", "aba"]
 
     def test_fibonacci_letter_b(self):
         buf = fib_prefix_buffer()
-        got = returns.complete_first_returns(buf, AB.encode("b"))
+        got = returns.report(buf, AB.encode("b")).complete_returns
         assert [buf.decode(w) for w in got] == ["baab", "bab"]
 
     def test_purely_periodic_single_return(self):
         src = wordgen.UltimatelyPeriodicSource("(ab)^w", AB, b"", AB.encode("ab"))
         buf = wordgen.PrefixBuffer(source=src, data=src.prefix(40), stable_upto=0)
-        got = returns.complete_first_returns(buf, AB.encode("ab"))
+        got = returns.report(buf, AB.encode("ab")).complete_returns
         assert [buf.decode(w) for w in got] == ["abab"]
-
-    def test_insufficient_occurrences(self):
-        buf = wordgen.literal_buffer("abcd")
-        with pytest.raises(InsufficientOccurrencesError) as exc:
-            returns.complete_first_returns(buf, buf.source.alphabet.encode("ab"))
-        assert exc.value.count == 1
 
     def test_returns_are_closed_with_long_frontier(self):
         buf = fib_prefix_buffer(512)
         for k in range(1, 9):
             for v in complexity.factors_of_length(buf, k, force=True):
-                for w in returns.complete_first_returns(buf, v):
+                for w in returns.report(buf, v).complete_returns:
                     verdict = closure.classify(w)
                     assert verdict.closed
                     assert verdict.frontier >= len(v)
@@ -48,35 +41,35 @@ class TestCompleteFirstReturns:
 class TestReturnWords:
     def test_fibonacci_examples(self):
         buf = fib_prefix_buffer()
-        assert [buf.decode(w) for w in returns.return_words(buf, AB.encode("a"))] == ["a", "ab"]
-        assert [buf.decode(w) for w in returns.return_words(buf, AB.encode("b"))] == ["ba", "baa"]
+        for text, want in (("a", ["a", "ab"]), ("b", ["ba", "baa"])):
+            words = returns.report(buf, AB.encode(text)).return_words
+            assert [buf.decode(w) for w in words] == want
 
     def test_strip_relationship(self):
         buf = fib_prefix_buffer()
         for text in ("a", "b", "ab", "aba", "aab"):
             v = AB.encode(text)
-            complete = returns.complete_first_returns(buf, v)
-            words = returns.return_words(buf, v)
-            assert len(words) == len(complete)
-            assert sorted(u + v for u in words) == complete
+            rep = returns.report(buf, v)
+            assert len(rep.return_words) == len(rep.complete_returns)
+            assert tuple(sorted(u + v for u in rep.return_words)) == rep.complete_returns
 
 
 class TestMaxGap:
     def test_fibonacci_short_prefix(self):
         buf = wordgen.literal_buffer("abaababaab", AB)
         assert returns.report(buf, AB.encode("b")).positions == (1, 4, 6, 9)
-        assert returns.max_gap(buf, AB.encode("b")) == 3
+        assert returns.report(buf, AB.encode("b")).max_gap == 3
 
     def test_periodic(self):
         src = wordgen.UltimatelyPeriodicSource("(ab)^w", AB, b"", AB.encode("ab"))
         buf = wordgen.PrefixBuffer(source=src, data=src.prefix(20), stable_upto=0)
-        assert returns.max_gap(buf, AB.encode("a")) == 2
+        assert returns.report(buf, AB.encode("a")).max_gap == 2
 
     def test_thue_morse_aa_frozen(self):
         # value fixed by a pre-build oracle scan; stable across prefix sizes
         src = wordgen.get_preset("thue-morse")
         buf = wordgen.PrefixBuffer(source=src, data=src.prefix(4096), stable_upto=0)
-        assert returns.max_gap(buf, AB.encode("aa")) == 8
+        assert returns.report(buf, AB.encode("aa")).max_gap == 8
 
 
 class TestReport:

@@ -24,18 +24,19 @@ def test_equivalence_reports_word_count():
     assert "8190" in outcome.detail
 
 
-def test_corrupted_classifier_fails_with_counterexample():
+def test_corrupted_classifier_fails_with_counterexample(monkeypatch):
+    classify = closure.classify
+
     def corrupted(w):
-        verdict = closure.classify(w)
+        verdict = classify(w)
         if len(closure._as_bytes(w)) == 5:
             if verdict.closed:
                 return closure.OPEN
             return closure.ClosureVerdict(closed=True, frontier=1)
         return verdict
 
-    (outcome,) = verify.run_verify_suite(
-        only=["closure-oracle-equivalence"], classify_impl=corrupted
-    )
+    monkeypatch.setattr(closure, "classify", corrupted)
+    (outcome,) = verify.run_verify_suite(only=["closure-oracle-equivalence"])
     assert outcome.status == "fail"
     assert "length 5" in outcome.detail  # concrete counterexample named
 

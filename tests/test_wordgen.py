@@ -135,15 +135,31 @@ class TestMorphicPrefix:
 
 
 class TestPaperfolding:
+    SOURCE = wordgen.get_preset("paperfolding")
+
     def test_examples(self):
-        bits = wordgen.Alphabet("01")
-        assert bits.decode(wordgen.paperfolding_prefix(8)) == "11011001"
-        assert bits.decode(wordgen.paperfolding_prefix(1)) == "1"
-        assert bits.decode(wordgen.paperfolding_prefix(3)) == "110"
+        assert self.SOURCE.alphabet == wordgen.Alphabet("01")
+        assert self.SOURCE.alphabet.decode(self.SOURCE.prefix(8)) == "11011001"
+        assert self.SOURCE.alphabet.decode(self.SOURCE.prefix(1)) == "1"
+        assert self.SOURCE.alphabet.decode(self.SOURCE.prefix(3)) == "110"
 
     def test_odd_positions_alternate(self):
-        w = wordgen.paperfolding_prefix(64)
+        w = self.SOURCE.prefix(64)
         assert list(w[0::2]) == [1, 0] * 16
+
+    @pytest.mark.parametrize("length", [1, 3, 8, 64, (1 << 16) + 1])
+    def test_matches_odd_part_formula(self, length):
+        # position n (1-based) is 1 iff the odd part of n is 1 mod 4
+        def symbol(n):
+            while n % 2 == 0:
+                n //= 2
+            return 1 if n % 4 == 1 else 0
+
+        assert self.SOURCE.prefix(length) == bytes(symbol(n) for n in range(1, length + 1))
+
+    def test_coding_needs_a_character_per_letter(self):
+        with pytest.raises(ValueError):
+            wordgen.MorphicSource("pf", self.SOURCE.morphism, 0, coding="110")
 
 
 class TestUltimatelyPeriodic:
