@@ -7,6 +7,18 @@ from conftest import binary_words, is_primitive
 small_words = st.text(alphabet="abc", min_size=1, max_size=40)
 
 
+class TestOccurrences:
+    # the closure checks count occurrences of str words through the kernel
+    def test_examples(self):
+        assert kernels.occurrences("ab", "abaaaab") == [0, 5]
+        assert kernels.occurrences("aa", "aabaaa") == [0, 3, 4]
+        assert kernels.occurrences("a", "a") == [0]
+
+    def test_empty_pattern_rejected(self):
+        with pytest.raises(ValueError):
+            kernels.occurrences("", "abc")
+
+
 class TestClassify:
     def test_worked_examples(self):
         assert closure.classify("abaaaab") == closure.ClosureVerdict(True, 2)
