@@ -3,7 +3,8 @@ verify. Outputs are deterministic: repeated runs with identical
 arguments produce byte-identical files and streams.
 
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 certification
-(stable_upto / stabilization) error.
+error (a length past stable_upto, or no proof of a complete prefix under
+the cap).
 """
 
 import argparse
@@ -112,7 +113,7 @@ def _certified_buffer(source, n_max, force):
     except StabilizationError:
         if not force:
             raise
-        cap = wordgen._hard_cap(None)
+        cap = wordgen._hard_cap()
         return wordgen.PrefixBuffer(source=source, data=source.prefix(cap), stable_upto=0)
 
 
@@ -173,9 +174,8 @@ def _cmd_returns(args):
 
 def _cmd_verify(args):
     outcomes = verify.run_verify_suite(only=args.only or None)
-    label = {"pass": "PASS", "fail": "FAIL", "skipped": "SKIP"}
     for outcome in outcomes:
-        print(f"{label[outcome.status]} {outcome.name}: {outcome.detail}")
+        print(f"{outcome.status.upper()} {outcome.name}: {outcome.detail}")
     failed = sum(1 for o in outcomes if o.status == "fail")
     print(f"{len(outcomes)} checks, {failed} failed")
     return EXIT_CHECK_FAILED if failed else EXIT_OK

@@ -14,14 +14,12 @@ class UncertifiedLengthError(ValueError):
 
 
 class StabilizationError(RuntimeError):
-    """Doubling heuristic hit the hard cap before factor counts settled."""
+    """Proving a prefix's factor sets complete needs more than the hard cap."""
 
-    def __init__(self, cap, last_counts, prev_counts):
+    def __init__(self, cap, needed):
         super().__init__(
-            f"factor counts did not stabilize below the hard cap {cap}; "
-            f"last two count vectors: {prev_counts} vs {last_counts}"
+            f"factor sets cannot be proven to stabilize below the hard cap {cap}: "
+            f"the proof needs a prefix of at least {needed} symbols"
         )
         self.cap = cap
-        self.last_counts = last_counts
-        self.prev_counts = prev_counts
-
+        self.needed = needed

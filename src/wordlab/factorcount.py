@@ -1,9 +1,9 @@
-"""Distinct-factor counting via a suffix automaton.
+"""Distinct-factor counting via a suffix automaton: a test reference.
 
-Used by the stabilization heuristic, which needs per-length distinct
-counts for prefixes that can be much longer than the lengths of interest.
-The direct window enumeration in wordlab.complexity is the slow
-cross-check; tests assert the two agree.
+No wordlab code path calls it. The tests use it as a count of a
+prefix's distinct factors that is independent of the window sets that
+wordgen's certification and wordlab.complexity's enumeration build; a
+window set costs far less time and memory on long prefixes.
 """
 
 

@@ -8,7 +8,7 @@ carry the occurrence count and buffer length so callers can tell
 from dataclasses import dataclass
 from itertools import pairwise
 
-from wordlab import closure, kernels
+from wordlab import kernels
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ def report(buf, v) -> ReturnReport:
     """Everything read off the consecutive occurrences of v in the
     buffer; with fewer than two, the return fields are empty and max_gap
     is None."""
-    v = closure._as_bytes(v)
+    v = buf.alphabet.encode(v) if isinstance(v, str) else bytes(v)
     data = buf.data
     positions = kernels.occurrences(v, data)
     complete = sorted({data[i : j + len(v)] for i, j in pairwise(positions)})

@@ -18,7 +18,6 @@ TM_MIN_OPEN_10_40 = 18  # min op(n), thue-morse, n in [10, 40]
 TM_SYNDETIC_MIN_MAX_CL = 44  # min over progressions d<=4 of max cl(n), n<=60
 FIB_TWO_RETURNS_PREFIX = 256  # prefix length witnessing both returns, |v|<=15
 PAPERFOLDING_FIRST_CL_ZERO = 18  # smallest n with cl(n)=0
-PAPERFOLDING_SEARCH_LIMIT = 512
 RAUZY_N_MAX = 12  # factor lengths (and binary word lengths) of the Rauzy checks
 FRONTIER_I_MAX = 8  # largest shift of the frontier-distance check
 
@@ -29,7 +28,7 @@ AB = wordgen.Alphabet("ab")
 @dataclass(frozen=True)
 class VerifyOutcome:
     name: str
-    status: str  # pass | fail | skipped
+    status: str  # pass | fail
     detail: str
 
 
@@ -121,14 +120,16 @@ def check_fibonacci_sturmian():
 
 
 def check_fibonacci_two_returns():
-    """Every Fibonacci factor of length <= 15 has exactly two return
-    words, witnessed inside the oracle-fixed prefix length."""
+    """Every Fibonacci factor of length <= 15, listed from a certified
+    prefix, has exactly two return words, witnessed inside the
+    oracle-fixed prefix length."""
     name = "fibonacci-two-returns"
-    src = wordgen.get_preset("fibonacci")
-    buf = wordgen.PrefixBuffer(src, src.prefix(FIB_TWO_RETURNS_PREFIX), 16)
+    factors = _buffer("fibonacci", 15)
+    src = factors.source
+    buf = wordgen.PrefixBuffer(src, src.prefix(FIB_TWO_RETURNS_PREFIX), 0)
     checked = 0
     for k in range(1, 16):
-        for v in complexity.factors_of_length(buf, k, force=True):
+        for v in complexity.factors_of_length(factors, k):
             words = returns.report(buf, v).return_words
             checked += 1
             if len(words) != 2:
@@ -153,7 +154,9 @@ def check_cantor_minimum():
 
 @lru_cache(maxsize=None)
 def _rauzy_index(preset: str):
-    return complexity.FactorIndex(_buffer(preset, RAUZY_N_MAX + 1), RAUZY_N_MAX)
+    # certified to the longest span the three checks read: walks of 12
+    # over windows of up to 10
+    return complexity.FactorIndex(_buffer(preset, 22), RAUZY_N_MAX)
 
 
 def _preset_indexes_for_rauzy():
@@ -434,24 +437,12 @@ def check_syndetic_threshold():
     return _pass(name, f"all progressions d <= 4 reach {TM_SYNDETIC_MIN_MAX_CL}")
 
 
-def check_paperfolding_zero(limit: int = PAPERFOLDING_SEARCH_LIMIT):
-    """Search for the smallest n <= limit with cl(n) = 0 on the
-    paperfolding word; the found value is pinned as a regression."""
+def check_paperfolding_zero():
+    """The smallest n <= 64 with cl(n) = 0 on the paperfolding word is
+    the pinned regression value."""
     name = "paperfolding-closed-zero"
-    found = None
-    step = 64
-    n_max = min(step, limit)
-    while True:
-        buf = _buffer("paperfolding", n_max)
-        for row in complexity.profile(buf, 1, n_max):
-            if row.cl == 0:
-                found = row.n
-                break
-        if found is not None or n_max >= limit:
-            break
-        n_max = min(n_max * 2, limit)
-    if found is None:
-        return VerifyOutcome(name, "skipped", f"no cl(n) = 0 for n <= {limit}")
+    rows = complexity.profile(_buffer("paperfolding", 64), 1, 64)
+    found = next((row.n for row in rows if row.cl == 0), None)
     if found != PAPERFOLDING_FIRST_CL_ZERO:
         return _fail(
             name, f"smallest cl-zero length {found} != pinned {PAPERFOLDING_FIRST_CL_ZERO}"

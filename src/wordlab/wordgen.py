@@ -2,7 +2,8 @@
 
 Words are bytes of dense symbol codes; an Alphabet maps codes to
 printable characters (presets use a, b, c). PrefixBuffer couples a
-prefix with the maximum factor length its doubling certification covers.
+prefix with the longest factor length it is proven to hold completely;
+stabilized_prefix finds such a prefix by the rule of the source's family.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from wordlab.errors import StabilizationError
-from wordlab.factorcount import distinct_counts
 
 MAX_PREFIX_ENV = "WORDLAB_MAX_PREFIX"
 DEFAULT_MAX_PREFIX = 1 << 22
@@ -296,8 +296,9 @@ def literal_buffer(word, alphabet: Alphabet = None) -> PrefixBuffer:
 
 @dataclass(frozen=True)
 class PrefixBuffer:
-    """Immutable prefix of an infinite word plus the certified bound:
-    factor sets of length <= stable_upto are trusted, longer ones are not."""
+    """Immutable prefix of an infinite word plus the certified bound: it
+    holds every factor of length <= stable_upto, and longer factor sets
+    may be incomplete."""
 
     source: object
     data: bytes
@@ -319,37 +320,67 @@ class PrefixBuffer:
         return self.alphabet.decode(self.data if word is None else word)
 
 
-def _hard_cap(override=None) -> int:
-    if override is not None:
-        return override
+def _hard_cap() -> int:
     env = os.environ.get(MAX_PREFIX_ENV)
     return int(env) if env else DEFAULT_MAX_PREFIX
 
 
-def stabilized_prefix(source, n_max: int, hard_cap: int = None) -> PrefixBuffer:
-    """Certify factor sets up to n_max by doubling the prefix until the
-    distinct-factor counts at every length <= n_max stop changing.
+def _windows(data: bytes, n: int) -> set:
+    return {data[i : i + n] for i in range(len(data) - n + 1)}
 
-    Heuristic, not a proof: a source could in principle change counts
-    past the cap. The cap (default 2^22, env WORDLAB_MAX_PREFIX) bounds
-    the search; hitting it raises StabilizationError with the last counts.
+
+def _morphic_proof_length(source, n: int, cap: int) -> int:
+    # x = sigma(x). The windows of x[:after] are the sigma(u)[o:o+n], u a
+    # window of x[:length] and o < |sigma(u_0)|, where after is
+    # |sigma(x[:length-n+1])| + n - 1. Equal counts make the windows of
+    # x[:length] closed under that map, and it closes x[:n] to all of L_n.
+    m, length, count, after = source.morphism, 0, 0, 2 * n
+    while after <= cap:
+        data = morphic_prefix(m, source.seed, after)
+        grown = len(_windows(data, n))
+        if grown == count:
+            return length
+        length, count, starts = after, grown, data[: after - n + 1]
+        after = sum(len(img) * starts.count(c) for c, img in enumerate(m.images)) + n - 1
+    return after
+
+
+def _proof_length(source, n: int, cap: int) -> int:
+    """A prefix length whose length-n windows are provably all the
+    length-n factors of the source; past cap once the proof needs more."""
+    if isinstance(source, MorphicSource):
+        return _morphic_proof_length(source, n, cap)
+    if isinstance(source, UltimatelyPeriodicSource):
+        return len(source.preperiod) + len(source.period) + n - 1
+    if not isinstance(source, MechanicalSource):
+        raise TypeError(f"no certification rule for {type(source).__name__}")
+    if not isinstance(source.slope, (list, tuple)):
+        return Fraction(source.slope).denominator + n - 1  # period q
+    # an irrational slope gives a Sturmian word: n + 1 factors of length n
+    length = 2 * n
+    while length <= cap and len(_windows(source.prefix(length), n)) < n + 1:
+        length *= 2
+    return length
+
+
+def stabilized_prefix(source, n_max: int) -> PrefixBuffer:
+    """A prefix proven to hold every factor of length <= n_max.
+
+    Each shorter factor is a prefix of a length-n_max one, so the proof
+    is made at n_max alone, by the rule of the source's family: a morphic
+    fixed point grows its prefix until one more application of the
+    morphism adds no window, a Sturmian word until it shows n_max + 1
+    windows, and a periodic word reads one period past its preperiod.
+    A proof that needs more than the cap (default 2^22, env
+    WORDLAB_MAX_PREFIX) raises StabilizationError.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    cap = _hard_cap(hard_cap)
-    length = 4 * n_max
+    cap = _hard_cap()
+    length = _proof_length(source, n_max, cap)
     if length > cap:
-        raise ValueError(f"hard cap {cap} below the starting length {length}")
-    counts = distinct_counts(source.prefix(length), n_max)
-    prev_counts = None
-    while 2 * length <= cap:
-        length *= 2
-        next_data = source.prefix(length)
-        next_counts = distinct_counts(next_data, n_max)
-        if next_counts == counts:
-            return PrefixBuffer(source=source, data=next_data, stable_upto=n_max)
-        prev_counts, counts = counts, next_counts
-    raise StabilizationError(cap, counts, prev_counts)
+        raise StabilizationError(cap, length)
+    return PrefixBuffer(source=source, data=source.prefix(length), stable_upto=n_max)
 
 
 def _morphic_preset(name, rules):

@@ -8,8 +8,6 @@ pre-build brute-force sweeps (see wordlab.verify).
 import itertools
 import time
 
-import pytest
-
 from wordlab import closure, complexity, returns, verify, wordgen
 from conftest import binary_words, is_primitive
 
@@ -60,11 +58,12 @@ def test_05_fibonacci_sturmian_and_returns():
     for row in complexity.profile(buf, 1, 30):
         assert row.p == row.n + 1, row
     src = wordgen.get_preset("fibonacci")
+    factors = wordgen.stabilized_prefix(src, 15)
     long_buf = wordgen.PrefixBuffer(
-        source=src, data=src.prefix(verify.FIB_TWO_RETURNS_PREFIX), stable_upto=16
+        source=src, data=src.prefix(verify.FIB_TWO_RETURNS_PREFIX), stable_upto=0
     )
     for k in range(1, 16):
-        for v in complexity.factors_of_length(long_buf, k, force=True):
+        for v in complexity.factors_of_length(factors, k):
             assert len(returns.report(long_buf, v).return_words) == 2, long_buf.decode(v)
     announce(5, "fibonacci p(n) = n+1 and two return words per factor")
 
@@ -129,8 +128,6 @@ def test_09_aperiodicity_thresholds():
 
 
 def test_10_paperfolding_liminf_zero_witness():
-    outcome = verify.check_paperfolding_zero(limit=verify.PAPERFOLDING_SEARCH_LIMIT)
-    if outcome.status == "skipped":
-        pytest.skip(outcome.detail)
+    outcome = verify.check_paperfolding_zero()
     assert outcome.status == "pass", outcome.detail
     announce(10, f"paperfolding closed-complexity zero at n = {verify.PAPERFOLDING_FIRST_CL_ZERO}")

@@ -1,3 +1,5 @@
+import pytest
+
 from wordlab import cli, complexity, verify, wordgen
 
 
@@ -97,6 +99,29 @@ class TestProfile:
         monkeypatch.setenv("WORDLAB_MAX_PREFIX", "128")
         code, _, err = run(capsys, "profile", "--source", "paperfolding", "--n", "1..16")
         assert code == 3
+        assert "stabilize" in err
+
+    @pytest.mark.parametrize(
+        "rules,n,p",
+        [
+            ("a=aaba,b=babb", 8, 28),
+            ("a=acb,b=bccab,c=cbc", 5, 24),
+            ("a=ab,b=cb,c=cabc", 7, 21),
+            # c = c is a bounded letter: c^7 first occurs at 332,921
+            ("a=aab,b=ac,c=c", 7, 50),
+        ],
+    )
+    def test_morphism_prints_true_p(self, capsys, monkeypatch, rules, n, p):
+        monkeypatch.setenv("WORDLAB_MAX_PREFIX", str(1 << 20))
+        code, out, _ = run(capsys, "profile", "--morphism", rules, "--n", f"{n}..{n}")
+        assert code == 0
+        assert out.splitlines()[1].split(",")[:2] == [str(n), str(p)]
+
+    def test_bounded_letter_past_the_cap_exit_code(self, capsys, monkeypatch):
+        monkeypatch.setenv("WORDLAB_MAX_PREFIX", "65536")
+        code, out, err = run(capsys, "profile", "--morphism", "a=aab,b=ac,c=c", "--n", "11..11")
+        assert code == 3
+        assert out == ""
         assert "stabilize" in err
 
     def test_force_adds_approx_column(self, capsys, monkeypatch):

@@ -99,6 +99,12 @@ class TestReport:
             assert rep.complete_returns == tuple(sorted({data[i : j + m] for i, j in pairs}))
             assert rep.return_words == tuple(sorted({data[i:j] for i, j in pairs}))
 
+    def test_text_target_is_encoded_through_the_alphabet(self):
+        buf = fib_prefix_buffer(64)
+        assert returns.report(buf, "a").occurrence_count == 40
+        assert returns.report(buf, b"\x00").occurrence_count == 40
+        assert returns.report(buf, "ab") == returns.report(buf, AB.encode("ab"))
+
     def test_single_occurrence_report(self):
         buf = wordgen.literal_buffer("abcd")
         rep = returns.report(buf, buf.source.alphabet.encode("cd"))

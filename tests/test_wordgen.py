@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from wordlab.errors import StabilizationError
 from wordlab.factorcount import distinct_counts
 
 AB = wordgen.Alphabet("ab")
+ABC = wordgen.Alphabet("abc")
 THUE_MORSE = wordgen.Morphism.parse("a=ab,b=ba")
 CANTOR = wordgen.Morphism.parse("a=aba,b=bbb")
 FIBONACCI = wordgen.Morphism.parse("a=ab,b=a")
@@ -26,6 +28,29 @@ ITERATED_MORPHISMS = [
 UNREACHABLE_GROWS = wordgen.Morphism.parse("a=ab,b=a,c=cccc")
 # c is reachable from a and outgrows it: |sigma^5(a)| = 270,538, |sigma^5(c)| = 64^5
 REACHABLE_GROWS = wordgen.Morphism.parse("a=ab,b=bc,c=" + "c" * 64)
+
+
+def _windows(data, n):
+    return {data[i : i + n] for i in range(len(data) - n + 1)}
+
+
+def _random_word(rng, k, longest):
+    return bytes(rng.randrange(k) for _ in range(rng.randint(1, longest)))
+
+
+def _fixpoint_language(m, n):
+    """L_n of the fixed point of m from a: the least set that holds its
+    first n symbols and, with u, every sigma(u)[o:o+n], o < |sigma(u_0)|."""
+    first = _iterated_images(m, n)[-1][:n]
+    todo, language = [first], {first}
+    while todo:
+        u = todo.pop()
+        image = m.apply(u)
+        for o in range(len(m.images[u[0]])):
+            if image[o : o + n] not in language:
+                language.add(image[o : o + n])
+                todo.append(image[o : o + n])
+    return language
 
 
 def _iterated_images(m, length):
@@ -297,9 +322,48 @@ class TestStabilizedPrefix:
         buf2 = wordgen.stabilized_prefix(src, 12)
         assert distinct_counts(buf1.data, 12) == distinct_counts(buf2.data, 12)
 
-    def test_hard_cap_error(self):
-        with pytest.raises(StabilizationError):
-            wordgen.stabilized_prefix(wordgen.get_preset("paperfolding"), 16, hard_cap=128)
+    def test_hard_cap_error(self, monkeypatch):
+        monkeypatch.setenv(wordgen.MAX_PREFIX_ENV, "128")
+        with pytest.raises(StabilizationError, match="stabilize") as err:
+            wordgen.stabilized_prefix(wordgen.get_preset("paperfolding"), 16)
+        assert err.value.cap == 128 < err.value.needed
+
+    def test_random_morphisms_match_the_fixpoint(self, monkeypatch):
+        # every case is certified under the small cap, so no run is long
+        monkeypatch.setenv(wordgen.MAX_PREFIX_ENV, str(1 << 16))
+        rng = random.Random(1)
+        for _ in range(200):
+            k = rng.choice((2, 3))
+            images = [_random_word(rng, k, 4) for _ in range(k)]
+            images[0] = b"\x00" + _random_word(rng, k, 3)  # prolongable from a
+            m = wordgen.Morphism(wordgen.Alphabet("abc"[:k]), tuple(images))
+            for n in (2, 3, 5, 8):
+                buf = wordgen.stabilized_prefix(wordgen.MorphicSource("random", m, 0), n)
+                assert buf.stable_upto == n
+                assert _windows(buf.data, n) == _fixpoint_language(m, n), (images, n)
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            wordgen.UltimatelyPeriodicSource("c(ab)^w", ABC, ABC.encode("c"), ABC.encode("ab")),
+            wordgen.UltimatelyPeriodicSource("(a)^w", AB, b"", AB.encode("a")),
+            wordgen.UltimatelyPeriodicSource("ba(aab)^w", AB, AB.encode("ba"), AB.encode("aab")),
+            wordgen.UltimatelyPeriodicSource("cab(abaab)^w", ABC, ABC.encode("cab"), ABC.encode("abaab")),
+            wordgen.MechanicalSource("3/7", Fraction(3, 7)),
+            wordgen.MechanicalSource("2/5+1/3", Fraction(2, 5), Fraction(1, 3)),
+            wordgen.MechanicalSource("1/2", Fraction(1, 2), Fraction(0)),
+            wordgen.MechanicalSource("cf 1", (1,)),
+            wordgen.MechanicalSource("cf 1,2", (1, 2), Fraction(1, 3)),
+            wordgen.MechanicalSource("cf 3,1,4", (3, 1, 4)),
+        ],
+        ids=lambda src: src.name,
+    )
+    def test_other_families_hold_every_factor(self, source):
+        for n in (1, 2, 3, 5, 8, 13, 20):
+            data = wordgen.stabilized_prefix(source, n).data
+            longer = source.prefix(4 * len(data))
+            for m in range(1, n + 1):
+                assert _windows(data, m) == _windows(longer, m), (n, m)
 
     def test_stable_upto_invariant(self):
         with pytest.raises(ValueError):
