@@ -3,8 +3,8 @@ verify. Outputs are deterministic: repeated runs with identical
 arguments produce byte-identical files and streams.
 
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 certification
-error (a length past stable_upto, or no proof of a complete prefix under
-the cap).
+or resource limit (a length past stable_upto, no proof of a complete
+prefix under the cap, a --length past the cap, or memory exhausted).
 """
 
 import argparse
@@ -99,11 +99,21 @@ def _write(path, content):
         sys.stdout.write(content)
 
 
+def _capped_prefix(source, length):
+    """source.prefix(length), refused as a resource limit past the cap."""
+    cap = wordgen._hard_cap()
+    if length > cap:
+        raise MemoryError(
+            f"--length {length} exceeds the prefix cap {cap} ({wordgen.MAX_PREFIX_ENV})"
+        )
+    return source.prefix(length)
+
+
 def _cmd_generate(args):
     source = _resolve_source(args)
     if args.length < 1:
         raise UsageError("--length must be >= 1")
-    print(source.alphabet.decode(source.prefix(args.length)))
+    print(source.alphabet.decode(_capped_prefix(source, args.length)))
     return EXIT_OK
 
 
@@ -159,7 +169,7 @@ def _cmd_rauzy(args):
 def _cmd_returns(args):
     source = _resolve_source(args)
     buf = wordgen.PrefixBuffer(
-        source=source, data=source.prefix(args.length), stable_upto=0
+        source=source, data=_capped_prefix(source, args.length), stable_upto=0
     )
     target = source.alphabet.encode(args.factor)
     rep = returns.report(buf, target)
@@ -235,6 +245,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (StabilizationError, UncertifiedLengthError) as exc:
         print(f"certification error: {exc}", file=sys.stderr)
+        return EXIT_CERTIFICATION
+    except MemoryError as exc:
+        print(f"resource limit: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CERTIFICATION
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

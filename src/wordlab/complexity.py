@@ -3,7 +3,7 @@
 import csv
 import io
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from wordlab import kernels
 from wordlab.errors import UncertifiedLengthError
@@ -60,40 +60,6 @@ def factor_positions(buf, n: int, force: bool = False) -> dict:
 def factors_of_length(buf, n: int, force: bool = False) -> list:
     """Distinct length-n factors in lexicographic order."""
     return sorted(factor_positions(buf, n, force))
-
-
-@dataclass(frozen=True)
-class FactorIndex:
-    """The frontier of every window data[j:j+n] of buf with n <= n_max,
-    or -1 where that window is open; frontiers(n) reads one length.
-
-    Start j is indexed by one kernels.closed_prefixes call over
-    data[j:j+n_max], which yields the frontier of each closed prefix of
-    that window. Closure depends on a window's letters only, so every
-    occurrence of a factor reads the same entry.
-    """
-
-    buf: object
-    n_max: int
-    # entry n-1: the frontiers of the windows of length n, by start
-    columns: tuple = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
-        data = self.buf.data
-        columns = [[-1] * max(0, len(data) - n + 1) for n in range(1, self.n_max + 1)]
-        for j in range(len(data)):
-            for n, f in kernels.closed_prefixes(data[j : j + self.n_max]):
-                columns[n - 1][j] = f
-        object.__setattr__(self, "columns", tuple(map(tuple, columns)))
-
-    def frontiers(self, n: int) -> tuple:
-        """Entry j: the frontier of data[j:j+n], or -1 when it is open;
-        one entry per window of length n."""
-        if not 1 <= n <= self.n_max:
-            raise ValueError(f"factor length {n} is not indexed (n_max={self.n_max})")
-        return self.columns[n - 1]
 
 
 def profile(buf, n_from: int, n_to: int, force: bool = False) -> list:

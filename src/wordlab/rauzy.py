@@ -1,16 +1,18 @@
 """Rauzy graphs of order n, special factors, and the structural checks
 on closed factors (unique closed neighbors, frontier-length distances).
 
-Checks run on realized overlaps, i.e. windows of the actual prefix, not
-abstract graph paths: a path in the graph need not be realized as a
-factor, while every claim below is assertable on windows. They read each
-window's frontier from a complexity.FactorIndex of the buffer.
+The checks run on factors, not abstract graph paths: a path in the graph
+need not be realized as a factor. Two windows at shift i, or a walk of m
+steps, are the ends or the windows of one factor that spans them, so each
+check is handed those spanning factors (L_{n+i}, L_{n+m}, read from a
+prefix proven to that length) and a lookup from each closed word to its
+frontier length, in which a missing word is open.
 """
 
 from dataclasses import dataclass
 
 from wordlab import closure
-from wordlab.complexity import check_length, factors_of_length
+from wordlab.complexity import factors_of_length
 
 
 @dataclass(frozen=True)
@@ -79,20 +81,19 @@ def closed_extension_violation(core: bytes, letters, side: str):
     )
 
 
-def check_closed_neighbor_uniqueness(index, n: int, force: bool = False) -> list:
+def check_closed_neighbor_uniqueness(words, closed) -> list:
     """Every factor of length n-1 has at most one closed left extension
-    bw and at most one closed right extension wc among the length-n
-    factors of index.buf, read off the FactorIndex index; returns the
-    violations (expected none)."""
-    if n < 2:
-        raise ValueError("needs n >= 2")
-    check_length(index.buf, n, force)
-    data = index.buf.data
+    bw and at most one closed right extension wc among words, the
+    length-n factors L_n, closed mapping each closed word to its frontier
+    length; returns the violations (expected none)."""
     pred = {}
     succ = {}
-    for w in {data[j : j + n] for j, f in enumerate(index.frontiers(n)) if f >= 0}:
-        pred.setdefault(w[1:], []).append(w[0])
-        succ.setdefault(w[:-1], []).append(w[-1])
+    for w in words:
+        if len(w) < 2:
+            raise ValueError("needs n >= 2")
+        if w in closed:
+            pred.setdefault(w[1:], []).append(w[0])
+            succ.setdefault(w[:-1], []).append(w[-1])
     violations = []
     for side, extensions in (("left", pred), ("right", succ)):
         for core, letters in sorted(extensions.items()):
@@ -102,79 +103,64 @@ def check_closed_neighbor_uniqueness(index, n: int, force: bool = False) -> list
     return violations
 
 
-def frontier_distance_violation(f1: int, f2: int, i: int):
-    """The detail of the violation when two windows at shift i are both
-    closed (frontier lengths f1, f2 >= 0, -1 for open) and ||u1|-|u2|| < i
-    fails; None otherwise."""
-    if f1 < 0 or f2 < 0 or abs(f1 - f2) < i:
-        return None
-    return f"frontiers {f1} and {f2} differ by {abs(f1 - f2)} >= {i}"
+def check_frontier_distance(spans, closed, n_max: int, i_max: int) -> list:
+    """For each span u and shift i <= i_max with n = |u| - i in 1..n_max,
+    if the windows u[:n] and u[i:] are both closed, with frontiers u1, u2
+    read from closed, then ||u1|-|u2|| < i must hold (equality of lengths
+    when i = 1). Returns the violations (expected none), each naming u.
 
-
-def check_frontier_distance(index, n: int, i_max: int) -> list:
-    """For realized overlapping windows w1 = data[j:j+n] and
-    w2 = data[j+i:j+i+n] of index.buf, both closed with frontiers u1, u2:
-    ||u1|-|u2|| < i must hold, with equality of lengths when i = 1.
-    Returns the violations (expected none), one per distinct (w1, w2, i)."""
-    if i_max < 1:
-        raise ValueError("i_max must be >= 1")
-    data = index.buf.data
-    if n + i_max > len(data):
-        raise ValueError(
-            f"windows of length n+i_max={n + i_max} do not fit in the buffer"
-        )
-    frontiers = index.frontiers(n)
-    closed = [j for j, f in enumerate(frontiers) if f >= 0]
+    Two windows of a word at shift i are the ends of the factor of length
+    n + i that spans them, so spans L_{n+i} meet every such pair."""
     violations = []
-    seen_pairs = set()
-    for i in range(1, i_max + 1):
-        for j in closed:
-            if j + i >= len(frontiers):
-                break
-            detail = frontier_distance_violation(frontiers[j], frontiers[j + i], i)
-            if detail is None:
+    for u in spans:
+        for i in range(1, i_max + 1):
+            n = len(u) - i
+            if not 1 <= n <= n_max:
                 continue
-            w1 = data[j : j + n]
-            w2 = data[j + i : j + i + n]
-            if (w1, w2, i) in seen_pairs:
+            f1 = closed.get(u[:n])
+            if f1 is None:
                 continue
-            seen_pairs.add((w1, w2, i))
+            f2 = closed.get(u[i:])
+            if f2 is None or abs(f1 - f2) < i:
+                continue
             violations.append(
                 Violation(
                     check="frontier-distance",
-                    word=w1,
-                    detail=f"offset {j}, shift {i}: {detail}",
+                    word=u,
+                    detail=f"n={n}: shift {i}: frontiers {f1} and {f2} differ by "
+                    f"{abs(f1 - f2)} >= {i}",
                 )
             )
     return violations
 
 
-def check_closed_path_frontiers(index, n: int, walk_max: int) -> list:
-    """Along a window walk j..j+m of index.buf, if the end windows are
-    closed then the difference of their frontier lengths is at most the
-    number of distinct open windows strictly between them (zero when all
-    closed)."""
-    data = index.buf.data
-    frontiers = index.frontiers(n)
+def check_closed_path_frontiers(spans, closed, n: int) -> list:
+    """Walk the length-n windows of each span u from its first: if the
+    first window and the one m steps on are closed, the difference of
+    their frontier lengths is at most the number of distinct open windows
+    strictly between them (zero when all closed). Returns the violations
+    (expected none), each naming the walked factor u[:n+m].
+
+    A walk of m steps is one factor of length n + m, so spans L_{n+m_max}
+    meet every walk of at most m_max steps."""
     violations = []
-    for j in range(len(data) - n):
-        f1 = frontiers[j]
-        if f1 < 0:
+    for u in spans:
+        f1 = closed.get(u[:n])
+        if f1 is None:
             continue
-        limit = min(walk_max, len(data) - n - j)
         open_between = set()
-        for m in range(1, limit + 1):
-            f2 = frontiers[j + m]
-            if f2 < 0:
-                open_between.add(data[j + m : j + m + n])
-                continue
-            if abs(f1 - f2) > len(open_between):
+        for m in range(1, len(u) - n + 1):
+            w2 = u[m : m + n]
+            f2 = closed.get(w2)
+            if f2 is None:
+                open_between.add(w2)
+            elif abs(f1 - f2) > len(open_between):
                 violations.append(
                     Violation(
                         check="closed-path-frontiers",
-                        word=data[j : j + n],
+                        word=u[: n + m],
                         detail=(
-                            f"offset {j}, walk {m}: frontier gap {abs(f1 - f2)} "
+                            f"n={n}: walk {m}: frontier gap {abs(f1 - f2)} "
                             f"exceeds {len(open_between)} distinct open windows"
                         ),
                     )

@@ -20,6 +20,9 @@ FIB_TWO_RETURNS_PREFIX = 256  # prefix length witnessing both returns, |v|<=15
 PAPERFOLDING_FIRST_CL_ZERO = 18  # smallest n with cl(n)=0
 RAUZY_N_MAX = 12  # factor lengths (and binary word lengths) of the Rauzy checks
 FRONTIER_I_MAX = 8  # largest shift of the frontier-distance check
+PATH_N_MAX = 10  # window lengths of the closed-path-frontiers check
+WALK_MAX = 12  # longest walk of the closed-path-frontiers check
+RAUZY_SPAN_MAX = PATH_N_MAX + WALK_MAX  # longest factor the Rauzy checks read
 
 APERIODIC_PRESETS = ("thue-morse", "fibonacci", "cantor", "paperfolding", "period-doubling")
 AB = wordgen.Alphabet("ab")
@@ -45,8 +48,8 @@ def _buffer(preset: str, n_max: int):
     return wordgen.stabilized_prefix(wordgen.get_preset(preset), n_max)
 
 
-def _binary_words(max_len):
-    for n in range(1, max_len + 1):
+def _binary_words(max_len, min_len=1):
+    for n in range(min_len, max_len + 1):
         for bits in itertools.product(b"\x00\x01", repeat=n):
             yield bytes(bits)
 
@@ -152,143 +155,113 @@ def check_cantor_minimum():
     return _pass(name, "cl(n) = 1 at n = 8, 22, 64")
 
 
-@lru_cache(maxsize=None)
-def _rauzy_index(preset: str):
-    # certified to the longest span the three checks read: walks of 12
-    # over windows of up to 10
-    return complexity.FactorIndex(_buffer(preset, 22), RAUZY_N_MAX)
+def closed_lookup(longest) -> dict:
+    """Each closed prefix of a word of longest, mapped to its frontier
+    length; one kernels.closed_prefixes call per word.
 
-
-def _preset_indexes_for_rauzy():
-    for preset in sorted(wordgen.PRESETS):
-        yield preset, _rauzy_index(preset)
-
-
-def _bits(v: int, m: int) -> bytes:
-    """The length-m binary word whose letters are the bits of v, first
-    letter most significant."""
-    return bytes((v >> k) & 1 for k in range(m - 1, -1, -1))
-
-
-def binary_frontier_table(max_len: int) -> list:
-    """Entry (1 << m) | v: the frontier length of the binary word
-    _bits(v, m), or -1 when it is open, for every m <= max_len.
-
-    Every shorter word is a prefix of a length-max_len word, so one
-    closed_prefixes call per length-max_len word fills the table.
+    When longest is every factor of length m of a word (or every word of
+    length m), each shorter one is a prefix of a member, so the lookup
+    holds exactly the closed ones of length <= m: a missing word is open.
     """
-    table = [-1] * (2 << max_len)
-    for v in range(1 << max_len):
-        for m, f in kernels.closed_prefixes(_bits(v, max_len)):
-            table[(1 << m) | (v >> (max_len - m))] = f
-    return table
+    closed = {}
+    for u in longest:
+        for n, f in kernels.closed_prefixes(u):
+            closed[u[:n]] = f
+    return closed
 
 
-def _table_max_len(table) -> int:
-    return len(table).bit_length() - 2
+@lru_cache(maxsize=None)
+def _language(preset: str):
+    """The prefix of preset proven to RAUZY_SPAN_MAX, its factor lists
+    {n: L_n} for n <= RAUZY_SPAN_MAX, and the closed lookup of them."""
+    buf = _buffer(preset, RAUZY_SPAN_MAX)
+    language = {n: complexity.factors_of_length(buf, n) for n in range(1, RAUZY_SPAN_MAX + 1)}
+    return buf, language, closed_lookup(language[RAUZY_SPAN_MAX])
 
 
-def closed_neighbor_sweep(table):
-    """Yield (word, n, violation) for every binary word u of length
-    m <= the table's and n in 2..m-1 whose prefix x = u[:n] and suffix
-    y = u[m-n:] are distinct closed words sharing a core.
+def closed_neighbor_sweep(words, closed):
+    """Yield (word, n, violation) for every word u of length m and n in
+    2..m-1 whose prefix x = u[:n] and suffix y = u[m-n:] are distinct
+    closed words, read from closed, sharing a core.
 
     Two distinct closed extensions of one core, occurring in a word w,
     lie inside the stretch of w from the earlier occurrence to the end of
-    the later one; so this meets every pair the per-word window walk of
-    check_closed_neighbor_uniqueness meets, and no other.
+    the later one; so over every binary word this meets every pair that
+    check_closed_neighbor_uniqueness meets on the factors of one.
     """
-    for m in range(3, _table_max_len(table) + 1):
-        for v in range(1 << m):
-            for n in range(2, m):
-                x = v >> (m - n)
-                y = v & ((1 << n) - 1)
-                if x == y or table[(1 << n) | x] < 0 or table[(1 << n) | y] < 0:
-                    continue
-                core_mask = (1 << (n - 1)) - 1
-                if x & core_mask == y & core_mask:
-                    core, letters, side = x & core_mask, (x >> (n - 1), y >> (n - 1)), "left"
-                elif x >> 1 == y >> 1:
-                    core, letters, side = x >> 1, (x & 1, y & 1), "right"
-                else:
-                    continue
-                violation = rauzy.closed_extension_violation(_bits(core, n - 1), letters, side)
-                if violation is not None:
-                    yield _bits(v, m), n, violation
+    for u in words:
+        m = len(u)
+        for n in range(2, m):
+            x = u[:n]
+            if x not in closed:
+                continue
+            y = u[m - n :]
+            if x == y or y not in closed:
+                continue
+            if x[1:] == y[1:]:
+                core, letters, side = x[1:], (x[0], y[0]), "left"
+            elif x[:-1] == y[:-1]:
+                core, letters, side = x[:-1], (x[-1], y[-1]), "right"
+            else:
+                continue
+            yield u, n, rauzy.closed_extension_violation(core, letters, side)
 
 
-def frontier_distance_sweep(table):
-    """Yield (word, n, detail) for every binary word u of length
-    m <= the table's and shift i <= min(FRONTIER_I_MAX, m-1) where the
-    pair (u[:n], u[i:]), n = m - i, breaks the frontier-distance claim.
-
-    The windows w[j:j+n] and w[j+i:j+i+n] of a word w are the ends of
-    u = w[j:j+n+i], so this meets every triple the per-word window walk
-    of check_frontier_distance meets, and no other.
-    """
-    for m in range(2, _table_max_len(table) + 1):
-        for v in range(1 << m):
-            for i in range(1, min(FRONTIER_I_MAX, m - 1) + 1):
-                n = m - i
-                f1 = table[(1 << n) | (v >> i)]
-                f2 = table[(1 << n) | (v & ((1 << n) - 1))]
-                detail = rauzy.frontier_distance_violation(f1, f2, i)
-                if detail is not None:
-                    yield _bits(v, m), n, f"shift {i}: {detail}"
-
-
-def check_closed_neighbors(table):
+def check_closed_neighbors(closed):
     """No factor has two closed left or two closed right extensions;
     presets for n <= 12 plus every binary word of length <= 12, read
-    from table = binary_frontier_table(RAUZY_N_MAX)."""
+    from closed, the closed lookup of the binary words of length 12."""
     name = "rauzy-closed-neighbors"
-    for preset, index in _preset_indexes_for_rauzy():
+    for preset in sorted(wordgen.PRESETS):
+        buf, language, lookup = _language(preset)
         for n in range(2, RAUZY_N_MAX + 1):
-            bad = rauzy.check_closed_neighbor_uniqueness(index, n)
+            bad = rauzy.check_closed_neighbor_uniqueness(language[n], lookup)
             if bad:
                 v = bad[0]
-                return _fail(name, f"{preset} n={n}: {index.buf.decode(v.word)!r} {v.detail}")
-    bad = next(closed_neighbor_sweep(table), None)
+                return _fail(name, f"{preset} n={n}: {buf.decode(v.word)!r} {v.detail}")
+    bad = next(closed_neighbor_sweep(_binary_words(RAUZY_N_MAX), closed), None)
     if bad is not None:
         word, n, v = bad
         return _fail(name, f"word {AB.decode(word)!r} n={n}: {v.detail}")
-    # the words of length 2..RAUZY_N_MAX, each indexed once in the table
-    words = len(table) - 4
+    words = (2 << RAUZY_N_MAX) - 4  # the words of length 2..RAUZY_N_MAX
     return _pass(name, f"presets n<={RAUZY_N_MAX} and {words} binary words")
 
 
-def check_frontier_distance(table):
+def check_frontier_distance(closed):
     """Closed windows at shift i have frontier lengths differing by < i;
     presets for n <= 12, i_max = 8, plus every binary word <= 12, read
-    from table = binary_frontier_table(RAUZY_N_MAX)."""
+    from closed, the closed lookup of the binary words of length 12."""
     name = "rauzy-frontier-distance"
-    for preset, index in _preset_indexes_for_rauzy():
-        for n in range(1, RAUZY_N_MAX + 1):
-            i_max = min(FRONTIER_I_MAX, len(index.buf.data) - n)
-            bad = rauzy.check_frontier_distance(index, n, i_max)
-            if bad:
-                v = bad[0]
-                return _fail(name, f"{preset} n={n}: {index.buf.decode(v.word)!r} {v.detail}")
-    bad = next(frontier_distance_sweep(table), None)
-    if bad is not None:
-        word, n, detail = bad
-        return _fail(name, f"word {AB.decode(word)!r} n={n}: {detail}")
-    # the words of length 1..RAUZY_N_MAX, each indexed once in the table
-    words = len(table) - 2
+    for preset in sorted(wordgen.PRESETS):
+        buf, language, lookup = _language(preset)
+        spans = itertools.chain.from_iterable(
+            language[m] for m in range(2, RAUZY_N_MAX + FRONTIER_I_MAX + 1)
+        )
+        bad = rauzy.check_frontier_distance(spans, lookup, RAUZY_N_MAX, FRONTIER_I_MAX)
+        if bad:
+            v = bad[0]
+            return _fail(name, f"{preset} word {buf.decode(v.word)!r} {v.detail}")
+    spans = _binary_words(RAUZY_N_MAX)
+    bad = rauzy.check_frontier_distance(spans, closed, RAUZY_N_MAX, FRONTIER_I_MAX)
+    if bad:
+        v = bad[0]
+        return _fail(name, f"word {AB.decode(v.word)!r} {v.detail}")
+    words = (2 << RAUZY_N_MAX) - 2  # the words of length 1..RAUZY_N_MAX
     return _pass(name, f"presets n<={RAUZY_N_MAX} i_max={FRONTIER_I_MAX} and {words} binary words")
 
 
 def check_closed_path_frontiers():
-    """Frontier lengths along realized walks differ by at most the number
-    of distinct open windows strictly between the closed endpoints."""
+    """Frontier lengths along walks differ by at most the number of
+    distinct open windows strictly between the closed endpoints."""
     name = "rauzy-closed-path-frontiers"
-    for preset, index in _preset_indexes_for_rauzy():
-        for n in range(1, 11):
-            bad = rauzy.check_closed_path_frontiers(index, n, walk_max=12)
+    for preset in sorted(wordgen.PRESETS):
+        buf, language, lookup = _language(preset)
+        for n in range(1, PATH_N_MAX + 1):
+            bad = rauzy.check_closed_path_frontiers(language[n + WALK_MAX], lookup, n)
             if bad:
                 v = bad[0]
-                return _fail(name, f"{preset} n={n}: {index.buf.decode(v.word)!r} {v.detail}")
-    return _pass(name, "presets, n <= 10, walks <= 12")
+                return _fail(name, f"{preset} word {buf.decode(v.word)!r} {v.detail}")
+    return _pass(name, f"presets, n <= {PATH_N_MAX}, walks <= {WALK_MAX}")
 
 
 def check_right_special_exists():
@@ -528,14 +501,14 @@ def run_verify_suite(only=None) -> list:
         if unknown:
             raise ValueError(f"unknown checks: {sorted(unknown)}")
     outcomes = []
-    table = None  # built once for the checks that sweep it, never shared across calls
+    closed = None  # built once for the checks that read it, never shared across calls
     for name, fn in CHECKS:
         if only is not None and name not in only:
             continue
         if fn in (check_closed_neighbors, check_frontier_distance):
-            if table is None:
-                table = binary_frontier_table(RAUZY_N_MAX)
-            outcomes.append(fn(table))
+            if closed is None:
+                closed = closed_lookup(_binary_words(RAUZY_N_MAX, min_len=RAUZY_N_MAX))
+            outcomes.append(fn(closed))
         else:
             outcomes.append(fn())
     return outcomes

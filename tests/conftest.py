@@ -19,30 +19,12 @@ def is_primitive(w):
     return not any(n % q == 0 and w[:q] * (n // q) == w for q in range(1, n))
 
 
-def table_index(w):
-    """The frontier-table index of the binary word w."""
-    v = 0
-    for c in w:
-        v = 2 * v + c
-    return (1 << len(w)) | v
-
-
-def arbitrary_table(max_len, seed):
-    """A frontier table of every binary word up to max_len, with seeded
-    arbitrary entries (-1 for open)."""
+def arbitrary_lookup(words, seed):
+    """A closed lookup over words with seeded arbitrary entries: each
+    word is open (missing) or closed with a frontier length in 0..15."""
     rng = random.Random(seed)
-    return [max(-1, rng.randrange(-4, 16)) for _ in range(2 << max_len)]
-
-
-def table_closed_prefixes(table):
-    """A stand-in for kernels.closed_prefixes on binary words that reads
-    each prefix's frontier from table."""
-
-    def closed_prefixes(w, n_from=1):
-        frontiers = ((n, table[table_index(w[:n])]) for n in range(n_from, len(w) + 1))
-        return [(n, f) for n, f in frontiers if f >= 0]
-
-    return closed_prefixes
+    frontiers = ((w, rng.randrange(-4, 16)) for w in sorted(set(words)))
+    return {w: f for w, f in frontiers if f >= 0}
 
 
 @pytest.fixture(scope="session")

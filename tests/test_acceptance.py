@@ -69,10 +69,10 @@ def test_05_fibonacci_sturmian_and_returns():
 
 
 def test_06_rauzy_propositions(verify_outcomes):
-    # the two verify checks walk exactly the claims this criterion states:
-    # every preset buffer certified to n = 13 with n <= 12 (frontier
-    # distance up to i_max = min(8, len - n)), and every binary word of
-    # length <= 12; their loop bounds and the details pin that coverage
+    # the two verify checks test exactly the claims this criterion states:
+    # every preset's factors from a prefix certified to n = 22, for n <= 12
+    # (frontier distance up to i_max = 8), and every binary word of length
+    # <= 12; their loop bounds and the details pin that coverage
     assert (verify.RAUZY_N_MAX, verify.FRONTIER_I_MAX) == (12, 8)
     neighbors = verify_outcomes["rauzy-closed-neighbors"]
     assert neighbors.status == "pass", neighbors.detail

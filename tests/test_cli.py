@@ -182,7 +182,68 @@ class TestReturns:
         assert "max_gap -" in out
 
 
+class TestResourceLimits:
+    ARGV = {
+        "generate": ["generate", "--source", "thue-morse"],
+        "returns": ["returns", "--source", "thue-morse", "--factor", "ab"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_length_past_the_cap_exit_code(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("WORDLAB_MAX_PREFIX", "64")
+        code, out, _ = run(capsys, *self.ARGV[command], "--length", "64")
+        assert code == 0
+        assert out
+        code, out, err = run(capsys, *self.ARGV[command], "--length", "65")
+        assert (code, out) == (3, "")
+        assert err == "resource limit: --length 65 exceeds the prefix cap 64 (WORDLAB_MAX_PREFIX)\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ARGV["generate"] + ["--length", "16"],
+            ARGV["returns"] + ["--length", "16"],
+            ["profile", "--source", "thue-morse", "--n", "1..4"],
+            ["rauzy", "--source", "thue-morse", "--n", "2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_memory_error_exit_code(self, capsys, monkeypatch, argv):
+        def prefix(self, length):
+            raise MemoryError
+
+        monkeypatch.setattr(wordgen.MorphicSource, "prefix", prefix)
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (3, "", "resource limit: out of memory\n")
+
+
 class TestVerify:
+    def test_full_suite_golden(self, capsys):
+        code, out, _ = run(capsys, "verify")
+        assert code == 0
+        assert out == (
+            "PASS closure-oracle-equivalence: 8190 words tested\n"
+            "PASS closure-worked-examples: 4 fixed examples\n"
+            "PASS identity-p-op-cl: 6 presets, n <= 30\n"
+            "PASS morse-hedlund-bound: 5 aperiodic presets, n <= 20\n"
+            "PASS fibonacci-sturmian-complexity: p(n) = n+1 for n <= 30\n"
+            "PASS fibonacci-two-returns: 135 factors, prefix length 256\n"
+            "PASS cantor-closed-minimum: cl(n) = 1 at n = 8, 22, 64\n"
+            "PASS rauzy-graph-consistency: presets, n <= 11\n"
+            "PASS rauzy-closed-neighbors: presets n<=12 and 8188 binary words\n"
+            "PASS rauzy-frontier-distance: presets n<=12 i_max=8 and 8190 binary words\n"
+            "PASS rauzy-closed-path-frontiers: presets, n <= 10, walks <= 12\n"
+            "PASS right-special-exists: 5 presets, n <= 15\n"
+            "PASS periodic-collapse: 52 primitive periods\n"
+            "PASS rotation-power-closure: primitive binary u, |u| <= 4, n = 3\n"
+            "PASS unique-return-periodicity: 3 ultimately periodic words\n"
+            "PASS tm-open-threshold: min op = 18 >= 18\n"
+            "PASS tm-closed-syndetic-threshold: all progressions d <= 4 reach 44\n"
+            "PASS paperfolding-closed-zero: cl(18) = 0\n"
+            "PASS branching-witness: k=19, d=1, recurrent factors up to length 8\n"
+            "19 checks, 0 failed\n"
+        )
+
     def test_subset_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--only", "closure-worked-examples")
         assert code == 0

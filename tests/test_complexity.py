@@ -40,8 +40,19 @@ class TestFactorsOfLength:
             assert fib_buffer.data.find(w) == i
 
     def test_uncertified_length_raises(self, fib_buffer):
-        with pytest.raises(UncertifiedLengthError):
-            complexity.factors_of_length(fib_buffer, fib_buffer.stable_upto + 1)
+        # past stable_upto unless forced; n = 0 and n past the buffer end
+        # are plain ValueErrors, forced or not
+        cases = [
+            (fib_buffer.stable_upto + 1, False, UncertifiedLengthError),
+            (0, False, ValueError),
+            (0, True, ValueError),
+            (len(fib_buffer.data) + 1, False, ValueError),
+            (len(fib_buffer.data) + 1, True, ValueError),
+        ]
+        for n, force, error in cases:
+            with pytest.raises(ValueError) as raised:
+                complexity.factors_of_length(fib_buffer, n, force)
+            assert type(raised.value) is error, (n, force)
 
     def test_force_overrides(self, fib_buffer):
         n = fib_buffer.stable_upto + 1
@@ -51,31 +62,6 @@ class TestFactorsOfLength:
         expected = distinct_counts(tm_buffer.data, 12)
         got = [len(complexity.factors_of_length(tm_buffer, n)) for n in range(1, 13)]
         assert got == expected
-
-
-class TestFactorIndex:
-    def test_matches_brute_on_every_window(self):
-        # every window of every binary word of length <= 10, at every n,
-        # with rows cut short (n_max 3) and reaching past the word (n_max 12)
-        brute = {}
-        for w in binary_words(10):
-            verdict = closure.classify_brute(w)
-            brute[w] = verdict.frontier if verdict.closed else -1
-        for w in binary_words(10):
-            buf = wordgen.literal_buffer(w, AB)
-            for n_max in (3, 12):
-                index = complexity.FactorIndex(buf, n_max)
-                for n in range(1, n_max + 1):
-                    want = tuple(brute[w[j : j + n]] for j in range(len(w) - n + 1))
-                    assert index.frontiers(n) == want, (w, n_max, n)
-
-    def test_unindexed_lengths_raise(self, fib_buffer):
-        index = complexity.FactorIndex(fib_buffer, 4)
-        for n in (0, 5):
-            with pytest.raises(ValueError):
-                index.frontiers(n)
-        with pytest.raises(ValueError):
-            complexity.FactorIndex(fib_buffer, 0)
 
 
 class TestProfile:

@@ -1,15 +1,10 @@
+import re
+
 import pytest
 
-from wordlab import closure, complexity, kernels, rauzy, verify, wordgen
+from wordlab import closure, rauzy, verify, wordgen
 from wordlab.complexity import factors_of_length
-from wordlab.errors import UncertifiedLengthError
-from conftest import arbitrary_table, binary_words, table_closed_prefixes, table_index
-
-AB = wordgen.Alphabet("ab")
-
-
-def index(buf, n_max=12):
-    return complexity.FactorIndex(buf, n_max)
+from conftest import AB, arbitrary_lookup, binary_words
 
 
 def periodic_ab_buffer(length=40):
@@ -72,61 +67,78 @@ class TestSpecialFactors:
                 assert out_degree[w] >= 2
 
 
+def lookup_of(buf):
+    """The closed lookup of buf's factors, read off its longest certified ones."""
+    return verify.closed_lookup(factors_of_length(buf, buf.stable_upto))
+
+
+def spans_of(buf, lengths):
+    return [u for m in lengths for u in factors_of_length(buf, m)]
+
+
 class TestChecks:
     def test_closed_neighbors_empty_on_presets(self, tm_buffer, fib_buffer):
         for buf in (tm_buffer, fib_buffer):
+            closed = lookup_of(buf)
             for n in range(2, 10):
-                assert rauzy.check_closed_neighbor_uniqueness(index(buf), n) == []
+                assert rauzy.check_closed_neighbor_uniqueness(factors_of_length(buf, n), closed) == []
 
     def test_closed_neighbors_needs_order_two(self, tm_buffer):
         with pytest.raises(ValueError):
-            rauzy.check_closed_neighbor_uniqueness(index(tm_buffer), 1)
+            rauzy.check_closed_neighbor_uniqueness(factors_of_length(tm_buffer, 1), {})
 
     def test_frontier_distance_empty_on_presets(self, tm_buffer):
-        for n in range(1, 10):
-            assert rauzy.check_frontier_distance(index(tm_buffer), n, 8) == []
+        spans = spans_of(tm_buffer, range(2, 18))
+        assert rauzy.check_frontier_distance(spans, lookup_of(tm_buffer), 9, 8) == []
 
     def test_periodic_equal_frontiers_at_shift_two(self):
-        from wordlab import closure
-
         buf = periodic_ab_buffer()
         w1 = buf.data[0:6]
         w2 = buf.data[2:8]
         v1, v2 = closure.classify(w1), closure.classify(w2)
         assert v1.closed and v2.closed
         assert v1.frontier == v2.frontier == 4
-        assert rauzy.check_frontier_distance(index(buf), 6, 2) == []
+        assert rauzy.check_frontier_distance(spans_of(buf, [8]), lookup_of(buf), 6, 2) == []
 
     def test_frontier_distance_range_error(self, tm_buffer):
+        # spans past the buffer end are refused where they are listed
         with pytest.raises(ValueError):
-            rauzy.check_frontier_distance(index(tm_buffer), 5, len(tm_buffer.data))
+            spans_of(tm_buffer, [5 + len(tm_buffer.data)])
+
+    def test_violations_name_the_spanning_factor(self):
+        # a and b read as closed with frontiers 5 and 0: the pair (a, b) at
+        # shift 1 and the walk from a to b are both ab
+        closed = {b"\x00": 5, b"\x01": 0}
+        (v,) = rauzy.check_frontier_distance([b"\x00\x01"], closed, 1, 8)
+        assert (v.check, v.word, v.detail) == (
+            "frontier-distance", b"\x00\x01", "n=1: shift 1: frontiers 5 and 0 differ by 5 >= 1"
+        )
+        (v,) = rauzy.check_closed_path_frontiers([b"\x00\x01"], closed, 1)
+        assert (v.check, v.word, v.detail) == (
+            "closed-path-frontiers",
+            b"\x00\x01",
+            "n=1: walk 1: frontier gap 5 exceeds 0 distinct open windows",
+        )
 
     def test_closed_path_frontiers_empty(self, tm_buffer):
+        closed = lookup_of(tm_buffer)
         for n in range(1, 8):
-            assert rauzy.check_closed_path_frontiers(index(tm_buffer), n, walk_max=12) == []
+            spans = factors_of_length(tm_buffer, n + 12)
+            assert rauzy.check_closed_path_frontiers(spans, closed, n) == []
 
 
-# The checks as they were before the index: one closure.classify per
-# distinct window, on the buffer itself. The index-reading checks must
-# return what these return, in order, and raise what these raise.
+# The reference window walks: every window of a buffer, at every offset,
+# with each window's status read from the same lookup the checks read.
+# Violations are compared without offsets: a frontier-distance violation
+# as (w1, w2, i), a path violation as (walked factor, gap, open count).
 
 
-def _frontier(cache, w):
-    f = cache.get(w)
-    if f is None:
-        verdict = closure.classify(w)
-        f = verdict.frontier if verdict.closed else -1
-        cache[w] = f
-    return f
-
-
-def walk_closed_neighbors(buf, n, force=False):
-    if n < 2:
-        raise ValueError("needs n >= 2")
+def walk_closed_neighbors(buf, closed, n):
+    data = buf.data
     pred = {}
     succ = {}
-    for w in factors_of_length(buf, n, force):
-        if closure.classify(w).closed:
+    for w in sorted({data[j : j + n] for j in range(len(data) - n + 1)}):
+        if w in closed:
             pred.setdefault(w[1:], []).append(w[0])
             succ.setdefault(w[:-1], []).append(w[-1])
     violations = []
@@ -138,137 +150,110 @@ def walk_closed_neighbors(buf, n, force=False):
     return violations
 
 
-def walk_frontier_distance(buf, n, i_max):
-    if i_max < 1:
-        raise ValueError("i_max must be >= 1")
+def walk_frontier_distance(buf, closed, n, i_max):
     data = buf.data
-    if n + i_max > len(data):
-        raise ValueError(f"windows of length n+i_max={n + i_max} do not fit in the buffer")
-    cache = {}
-    violations = []
-    seen_pairs = set()
+    triples = set()
     for i in range(1, i_max + 1):
         for j in range(len(data) - n - i + 1):
             w1 = data[j : j + n]
-            f1 = _frontier(cache, w1)
-            if f1 < 0:
-                continue
             w2 = data[j + i : j + i + n]
-            detail = rauzy.frontier_distance_violation(f1, _frontier(cache, w2), i)
-            if detail is None or (w1, w2, i) in seen_pairs:
-                continue
-            seen_pairs.add((w1, w2, i))
-            violations.append(
-                rauzy.Violation("frontier-distance", w1, f"offset {j}, shift {i}: {detail}")
-            )
-    return violations
+            if w1 in closed and w2 in closed and abs(closed[w1] - closed[w2]) >= i:
+                triples.add((w1, w2, i))
+    return triples
 
 
-def walk_closed_path_frontiers(buf, n, walk_max):
+def walk_closed_path_frontiers(buf, closed, n, walk_max):
     data = buf.data
-    cache = {}
-    violations = []
+    walks = set()
     for j in range(len(data) - n):
-        limit = min(walk_max, len(data) - n - j)
         w1 = data[j : j + n]
-        f1 = _frontier(cache, w1)
-        if f1 < 0:
+        if w1 not in closed:
             continue
         open_between = set()
-        for m in range(1, limit + 1):
+        for m in range(1, min(walk_max, len(data) - n - j) + 1):
             w2 = data[j + m : j + m + n]
-            f2 = _frontier(cache, w2)
-            if f2 < 0:
+            if w2 not in closed:
                 open_between.add(w2)
                 continue
-            if abs(f1 - f2) > len(open_between):
-                violations.append(
-                    rauzy.Violation(
-                        "closed-path-frontiers",
-                        w1,
-                        f"offset {j}, walk {m}: frontier gap {abs(f1 - f2)} "
-                        f"exceeds {len(open_between)} distinct open windows",
-                    )
-                )
-    return violations
+            gap = abs(closed[w1] - closed[w2])
+            if gap > len(open_between):
+                walks.add((data[j : j + n + m], gap, len(open_between)))
+    return walks
 
 
-def verify_calls(buf):
-    """(check, reference walk, n, third argument) for every call the
-    verify suite makes on a preset buffer."""
-    for n in range(2, verify.RAUZY_N_MAX + 1):
-        yield rauzy.check_closed_neighbor_uniqueness, walk_closed_neighbors, n, False
-    for n in range(1, verify.RAUZY_N_MAX + 1):
-        i_max = min(verify.FRONTIER_I_MAX, len(buf.data) - n)
-        yield rauzy.check_frontier_distance, walk_frontier_distance, n, i_max
-    for n in range(1, 11):
-        yield rauzy.check_closed_path_frontiers, walk_closed_path_frontiers, n, 12
+def distance_triples(violations):
+    """(w1, w2, i) of each frontier-distance violation, read off its span."""
+    triples = set()
+    for v in violations:
+        n, i = map(int, re.match(r"n=(\d+): shift (\d+): ", v.detail).groups())
+        triples.add((v.word[:n], v.word[i:], i))
+    return triples
+
+
+def path_walks(violations):
+    """(walked factor, gap, open count) of each path violation."""
+    walks = set()
+    for v in violations:
+        gap, count = map(int, re.search(r"frontier gap (\d+) exceeds (\d+) ", v.detail).groups())
+        walks.add((v.word, gap, count))
+    return walks
 
 
 class TestIndexedChecksMatchWindowWalks:
+    # under seeded arbitrary frontier lengths the checks report violations;
+    # both sides read them from one lookup
+
     @pytest.mark.parametrize("preset", sorted(wordgen.PRESETS))
     def test_verify_presets(self, preset):
-        idx = verify._rauzy_index(preset)
-        for check, walk, n, arg in verify_calls(idx.buf):
-            assert check(idx, n, arg) == walk(idx.buf, n, arg), (check.__name__, n)
+        # the calls the verify suite makes, on the factors of the prefix
+        # proven to 22, against the walks of that prefix
+        buf, language, _ = verify._language(preset)
+        closed = arbitrary_lookup(spans_of(buf, range(1, verify.RAUZY_N_MAX + 1)), 5)
+        compared = 0
+        for n in range(2, verify.RAUZY_N_MAX + 1):
+            got = rauzy.check_closed_neighbor_uniqueness(language[n], closed)
+            assert got == walk_closed_neighbors(buf, closed, n), n
+            compared += len(got)
+        spans = spans_of(buf, range(2, verify.RAUZY_N_MAX + verify.FRONTIER_I_MAX + 1))
+        got = distance_triples(
+            rauzy.check_frontier_distance(spans, closed, verify.RAUZY_N_MAX, verify.FRONTIER_I_MAX)
+        )
+        want = set()
+        for n in range(1, verify.RAUZY_N_MAX + 1):
+            want |= walk_frontier_distance(buf, closed, n, verify.FRONTIER_I_MAX)
+        assert got == want
+        compared += len(got)
+        for n in range(1, verify.PATH_N_MAX + 1):
+            spans = language[n + verify.WALK_MAX]
+            got = path_walks(rauzy.check_closed_path_frontiers(spans, closed, n))
+            assert got == walk_closed_path_frontiers(buf, closed, n, verify.WALK_MAX), n
+            compared += len(got)
+        assert compared > 1000
 
     @pytest.mark.parametrize("seed", [3, 8])
-    def test_arbitrary_frontiers(self, monkeypatch, seed):
-        # under arbitrary frontier lengths the checks report violations;
-        # both sides read them from one table, the walks via classify
-        table = arbitrary_table(9, seed)
-
-        def classify(w):
-            f = table[table_index(w)]
-            return closure.ClosureVerdict(closed=True, frontier=f) if f >= 0 else closure.OPEN
-
-        monkeypatch.setattr(closure, "classify", classify)
-        monkeypatch.setattr(kernels, "closed_prefixes", table_closed_prefixes(table))
-        reported = 0
-        for w in list(binary_words(9, min_len=9))[::7]:
+    def test_arbitrary_frontiers(self, seed):
+        # every binary word of length <= 9, its factors as spans, against
+        # the walks of the word itself
+        closed = arbitrary_lookup(binary_words(9), seed)
+        compared = 0
+        for w in binary_words(9, min_len=2):
             buf = wordgen.literal_buffer(w, AB)
-            idx = index(buf, 9)
-            for n in range(2, 10):
-                got = rauzy.check_closed_neighbor_uniqueness(idx, n)
-                assert got == walk_closed_neighbors(buf, n), (w, n)
-                reported += len(got)
-            for n in range(1, 9):
-                for i_max in range(1, 10 - n):
-                    got = rauzy.check_frontier_distance(idx, n, i_max)
-                    assert got == walk_frontier_distance(buf, n, i_max), (w, n, i_max)
-                    reported += len(got)
-                for walk_max in (1, 4, 12):
-                    got = rauzy.check_closed_path_frontiers(idx, n, walk_max)
-                    assert got == walk_closed_path_frontiers(buf, n, walk_max), (w, n)
-                    reported += len(got)
-        assert reported > 1000
-
-    @pytest.mark.parametrize(
-        "check,walk,n,arg,error",
-        [
-            (rauzy.check_closed_neighbor_uniqueness, walk_closed_neighbors, 1, False, ValueError),
-            (rauzy.check_closed_neighbor_uniqueness, walk_closed_neighbors, 41, False, ValueError),
-            (rauzy.check_closed_neighbor_uniqueness, walk_closed_neighbors, 31, False,
-             UncertifiedLengthError),
-            (rauzy.check_frontier_distance, walk_frontier_distance, 5, 0, ValueError),
-            (rauzy.check_frontier_distance, walk_frontier_distance, 5, 36, ValueError),
-        ],
-    )
-    def test_same_errors(self, tm_buffer, check, walk, n, arg, error):
-        # 40 letters, certified to length 30
-        buf = wordgen.PrefixBuffer(tm_buffer.source, tm_buffer.data[:40], 30)
-        with pytest.raises(ValueError) as want:
-            walk(buf, n, arg)
-        with pytest.raises(ValueError) as got:
-            check(index(buf, 40), n, arg)
-        assert type(want.value) is error
-        assert (type(got.value), str(got.value)) == (error, str(want.value))
-
-    def test_uncertified_length(self, tm_buffer):
-        n = tm_buffer.stable_upto + 1
-        with pytest.raises(UncertifiedLengthError):
-            rauzy.check_closed_neighbor_uniqueness(index(tm_buffer, n), n)
-        assert rauzy.check_closed_neighbor_uniqueness(index(tm_buffer, n), n, force=True) == []
+            spans = spans_of(buf, range(2, len(w) + 1))
+            got = distance_triples(rauzy.check_frontier_distance(spans, closed, len(w), len(w)))
+            want = set()
+            for n in range(1, len(w)):
+                want |= walk_frontier_distance(buf, closed, n, len(w) - n)
+            assert got == want, w
+            compared += len(got)
+            for n in range(1, len(w)):
+                got = rauzy.check_closed_neighbor_uniqueness(factors_of_length(buf, n + 1), closed)
+                assert got == walk_closed_neighbors(buf, closed, n + 1), (w, n)
+                compared += len(got)
+                spans = spans_of(buf, range(n + 1, len(w) + 1))
+                got = path_walks(rauzy.check_closed_path_frontiers(spans, closed, n))
+                assert got == walk_closed_path_frontiers(buf, closed, n, len(w)), (w, n)
+                compared += len(got)
+        assert compared > 1000
 
 
 class TestDot:

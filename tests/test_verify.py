@@ -1,15 +1,8 @@
-import re
-
 import pytest
 
-from wordlab import closure, complexity, kernels, rauzy, verify, wordgen
-from conftest import (
-    arbitrary_table,
-    binary_words,
-    is_primitive,
-    table_closed_prefixes,
-    table_index,
-)
+from wordlab import closure, kernels, rauzy, verify, wordgen
+from conftest import arbitrary_lookup, binary_words, is_primitive
+from test_rauzy import distance_triples, walk_closed_neighbors, walk_frontier_distance
 
 
 def test_full_suite_passes(verify_outcomes):
@@ -53,41 +46,46 @@ def test_subset_preserves_registration_order():
 
 
 @pytest.mark.parametrize("seed", [3, 8])
-def test_sweeps_cover_the_window_walks(monkeypatch, seed):
-    # under arbitrary frontier lengths, the sweeps report exactly what the
-    # rauzy checks report on every binary word of length <= 9, walked
-    # with the loop bounds the verify checks used before the sweeps; the
-    # seeds give the letters frontiers 8 apart, so shift 8 is reached;
-    # each word's index rows are read from the table
-    table = arbitrary_table(9, seed)
-    monkeypatch.setattr(kernels, "closed_prefixes", table_closed_prefixes(table))
+def test_sweeps_cover_the_window_walks(seed):
+    # under seeded arbitrary frontier lengths, the two binary sweeps report
+    # exactly what the reference window walks report on every binary word
+    # of length <= 9; the letters get frontiers FRONTIER_I_MAX apart, so
+    # that shift is reached
+    closed = arbitrary_lookup(binary_words(9), seed)
+    closed.update({b"\x00": 0, b"\x01": verify.FRONTIER_I_MAX})
     triples = set()
     cores = set()
     for w in binary_words(9, min_len=2):
-        index = complexity.FactorIndex(wordgen.literal_buffer(w, verify.AB), len(w))
+        buf = wordgen.literal_buffer(w, verify.AB)
         for n in range(1, len(w)):
-            i_max = min(verify.FRONTIER_I_MAX, len(w) - n)
-            for v in rauzy.check_frontier_distance(index, n, i_max):
-                j, i = map(int, re.match(r"offset (\d+), shift (\d+): ", v.detail).groups())
-                triples.add((v.word, w[j + i : j + i + n], i))
+            triples |= walk_frontier_distance(buf, closed, n, verify.FRONTIER_I_MAX)
         for n in range(2, len(w) + 1):
-            for v in rauzy.check_closed_neighbor_uniqueness(index, n):
-                cores.add((v.check, v.word, v.detail))
-    swept_triples = {
-        (u[:n], u[len(u) - n :], len(u) - n) for u, n, _ in verify.frontier_distance_sweep(table)
-    }
-    swept_cores = {(v.check, v.word, v.detail) for _, _, v in verify.closed_neighbor_sweep(table)}
-    assert cores and max(i for _, _, i in triples) == verify.FRONTIER_I_MAX
+            cores |= {(v.check, v.word, v.detail) for v in walk_closed_neighbors(buf, closed, n)}
+    words = list(binary_words(9))
+    swept_triples = distance_triples(
+        rauzy.check_frontier_distance(words, closed, 9, verify.FRONTIER_I_MAX)
+    )
+    swept_cores = {(v.check, v.word, v.detail) for _, _, v in verify.closed_neighbor_sweep(words, closed)}
+    assert max(i for _, _, i in triples) == verify.FRONTIER_I_MAX
     assert swept_triples == triples
     assert swept_cores == cores
+    assert len(triples) + len(cores) > 1000
 
 
-def test_binary_frontier_table_matches_classify():
-    table = verify.binary_frontier_table(9)
-    assert len(table) == 2 << 9
-    for w in binary_words(9):
-        verdict = closure.classify(w)
-        assert table[table_index(w)] == (verdict.frontier if verdict.closed else -1), w
+def test_closed_lookup_matches_brute():
+    # the lookup of the binary words of length 10 holds every closed
+    # binary word of length <= 10, with its frontier, and no open one
+    closed = verify.closed_lookup(binary_words(10, min_len=10))
+    for w in binary_words(10):
+        verdict = closure.classify_brute(w)
+        assert closed.get(w) == verdict.frontier, w
+    assert len(closed) == sum(closure.classify_brute(w).closed for w in binary_words(10))
+
+
+def with_entry(closed, word, frontier):
+    """A copy of the lookup closed whose entry for word reads frontier."""
+    assert closed.get(word, -1) != frontier
+    return {**closed, word: frontier}
 
 
 @pytest.mark.parametrize(
@@ -100,48 +98,52 @@ def test_binary_frontier_table_matches_classify():
     ],
 )
 def test_corrupted_frontier_table_fails_sweep(monkeypatch, check, word, frontier, detail):
-    table = verify.binary_frontier_table(verify.RAUZY_N_MAX)
-    assert table[table_index(word)] != frontier
-    table[table_index(word)] = frontier
-    monkeypatch.setattr(verify, "binary_frontier_table", lambda max_len: table)
+    # the binary lookup reads frontier for word; the preset lookups, built
+    # from longer words, stay as they are
+    real = verify.closed_lookup
+
+    def lookup(longest):
+        longest = list(longest)
+        closed = real(longest)
+        if len(longest[0]) != verify.RAUZY_N_MAX:
+            return closed
+        return with_entry(closed, word, frontier)
+
+    monkeypatch.setattr(verify, "closed_lookup", lookup)
     (outcome,) = verify.run_verify_suite(only=[check])
     assert (outcome.status, outcome.detail) == ("fail", detail)
 
 
 def test_one_frontier_table_per_suite_run(monkeypatch):
     built = []
+    real = verify.closed_lookup
 
-    def table(max_len):
-        built.append(max_len)
-        return [-1] * (2 << max_len)  # every word open: no sweep can fail
+    def lookup(longest):
+        longest = list(longest)
+        if len(longest[0]) != verify.RAUZY_N_MAX:
+            return real(longest)
+        built.append(len(longest))
+        return {}  # every binary word open: no sweep can fail
 
-    monkeypatch.setattr(verify, "binary_frontier_table", table)
+    monkeypatch.setattr(verify, "closed_lookup", lookup)
     verify.run_verify_suite(only=["rauzy-closed-neighbors", "rauzy-frontier-distance"])
     verify.run_verify_suite(only=["rauzy-frontier-distance"])
-    assert built == [verify.RAUZY_N_MAX, verify.RAUZY_N_MAX]
+    assert built == [1 << verify.RAUZY_N_MAX] * 2
 
 
-def test_rauzy_indexes_match_classify():
+def test_rauzy_lookups_match_classify():
+    # each preset's lookup holds exactly its closed factors of length
+    # <= 22, each with the frontier closure.classify gives
     for preset in sorted(wordgen.PRESETS):
-        index = verify._rauzy_index(preset)
-        data = index.buf.data
-        for n in range(1, verify.RAUZY_N_MAX + 1):
-            want = []
-            for j in range(len(data) - n + 1):
-                verdict = closure.classify(data[j : j + n])
-                want.append(verdict.frontier if verdict.closed else -1)
-            assert index.frontiers(n) == tuple(want), (preset, n)
-
-
-def _with_entry(index, n, j, frontier):
-    """A copy of index whose entry for data[j:j+n] reads frontier."""
-    column = list(index.frontiers(n))
-    assert column[j] != frontier
-    column[j] = frontier
-    bad = complexity.FactorIndex(index.buf, index.n_max)
-    columns = index.columns[: n - 1] + (tuple(column),) + index.columns[n:]
-    object.__setattr__(bad, "columns", columns)
-    return bad
+        _, language, closed = verify._language(preset)
+        assert sorted(language) == list(range(1, verify.RAUZY_SPAN_MAX + 1))
+        want = {}
+        for words in language.values():
+            for w in words:
+                verdict = closure.classify(w)
+                if verdict.closed:
+                    want[w] = verdict.frontier
+        assert closed == want, preset
 
 
 @pytest.mark.parametrize(
@@ -151,15 +153,17 @@ def _with_entry(index, n, j, frontier):
         ("rauzy-closed-neighbors", 2, 0, 0,
          "cantor n=2: 'b' 2 closed left extensions: [0, 1]"),
         ("rauzy-frontier-distance", 1, 0, 5,
-         "cantor n=1: 'a' offset 0, shift 1: frontiers 5 and 0 differ by 5 >= 1"),
+         "cantor word 'ab' n=1: shift 1: frontiers 5 and 0 differ by 5 >= 1"),
         ("rauzy-closed-path-frontiers", 1, 0, 5,
-         "cantor n=1: 'a' offset 0, walk 1: frontier gap 5 exceeds 0 distinct open windows"),
+         "cantor word 'ab' n=1: walk 1: frontier gap 5 exceeds 0 distinct open windows"),
     ],
 )
 def test_corrupted_index_fails_check(monkeypatch, check, n, j, frontier, detail):
-    real = verify._rauzy_index
-    bad = _with_entry(real("cantor"), n, j, frontier)
-    monkeypatch.setattr(verify, "_rauzy_index", lambda preset: bad if preset == "cantor" else real(preset))
+    # the cantor lookup reads frontier for the factor at offset j of length n
+    real = verify._language
+    buf, language, closed = real("cantor")
+    bad = (buf, language, with_entry(closed, buf.data[j : j + n], frontier))
+    monkeypatch.setattr(verify, "_language", lambda preset: bad if preset == "cantor" else real(preset))
     (outcome,) = verify.run_verify_suite(only=[check])
     assert (outcome.status, outcome.detail) == ("fail", detail)
 
