@@ -82,6 +82,30 @@ def test_closed_lookup_matches_brute():
     assert len(closed) == sum(closure.classify_brute(w).closed for w in binary_words(10))
 
 
+def test_binary_frontier_table_matches_classify(monkeypatch):
+    # the binary lookup the suite hands the Rauzy checks gives every binary
+    # word of length <= RAUZY_N_MAX the frontier closure.classify gives it
+    tables = []
+    real = verify.closed_lookup
+
+    def spy(longest):
+        longest = list(longest)
+        closed = real(longest)
+        if len(longest[0]) == verify.RAUZY_N_MAX:  # not a preset's L_22
+            tables.append(closed)
+        return closed
+
+    monkeypatch.setattr(verify, "closed_lookup", spy)
+    verify.run_verify_suite(only=["rauzy-closed-neighbors"])
+    (table,) = tables
+    want = {}
+    for w in binary_words(verify.RAUZY_N_MAX):
+        verdict = closure.classify(w)
+        if verdict.closed:
+            want[w] = verdict.frontier
+    assert table == want
+
+
 def with_entry(closed, word, frontier):
     """A copy of the lookup closed whose entry for word reads frontier."""
     assert closed.get(word, -1) != frontier
